@@ -170,15 +170,9 @@ pub fn all_strategy_latencies(bench: &Benchmark, width: usize) -> Vec<(Strategy,
     strategies_from_env()
         .into_iter()
         .map(|s| {
-            let kernel_before = qcc_math::total_kernel_seconds();
             let started = Instant::now();
             let latency = latency_for(&bench.circuit, s, width);
-            record_compile_timing_with_kernel(
-                &bench.name,
-                s,
-                started.elapsed().as_secs_f64(),
-                Some(qcc_math::total_kernel_seconds() - kernel_before),
-            );
+            record_compile_timing(&bench.name, s, started.elapsed().as_secs_f64());
             (s, latency)
         })
         .collect()
@@ -193,11 +187,6 @@ pub struct CompileTiming {
     pub strategy: Strategy,
     /// Compile wall-clock time in seconds.
     pub compile_seconds: f64,
-    /// Seconds the compile spent inside the `qcc_math` matmul kernel engine
-    /// (matmul + the matmuls inside `expm`), measured as a
-    /// [`qcc_math::total_kernel_seconds`] delta; `None` when the recorder
-    /// did not attribute kernel time.
-    pub grape_kernel_seconds: Option<f64>,
 }
 
 static TIMINGS: Mutex<Vec<CompileTiming>> = Mutex::new(Vec::new());
@@ -206,19 +195,6 @@ static TIMINGS: Mutex<Vec<CompileTiming>> = Mutex::new(Vec::new());
 /// Harness helpers call this automatically; experiment mains that compile
 /// directly can record their own samples.
 pub fn record_compile_timing(benchmark: &str, strategy: Strategy, compile_seconds: f64) {
-    record_compile_timing_with_kernel(benchmark, strategy, compile_seconds, None);
-}
-
-/// [`record_compile_timing`] with an explicit GRAPE-kernel-seconds
-/// attribution (the share of `compile_seconds` spent inside the `qcc_math`
-/// matmul kernels, typically a [`qcc_math::total_kernel_seconds`] delta
-/// around the compile).
-pub fn record_compile_timing_with_kernel(
-    benchmark: &str,
-    strategy: Strategy,
-    compile_seconds: f64,
-    grape_kernel_seconds: Option<f64>,
-) {
     TIMINGS
         .lock()
         .expect("timing log poisoned")
@@ -226,7 +202,6 @@ pub fn record_compile_timing_with_kernel(
             benchmark: benchmark.to_string(),
             strategy,
             compile_seconds,
-            grape_kernel_seconds,
         });
 }
 
@@ -236,13 +211,8 @@ pub fn record_compile_timing_with_kernel(
 ///
 /// ```json
 /// {"experiment":"fig9_latency","scale":"reduced","threads":8,
-///  "timings":[{"benchmark":"MAXCUT-line-20","strategy":"ISA","compile_seconds":0.0123,
-///              "grape_kernel_seconds":0.0045}]}
+///  "timings":[{"benchmark":"MAXCUT-line-20","strategy":"ISA","compile_seconds":0.0123}]}
 /// ```
-///
-/// `grape_kernel_seconds` (the portion of the compile spent inside the
-/// `qcc_math` matmul kernel engine) appears only on samples recorded with an
-/// attribution ([`record_compile_timing_with_kernel`]).
 ///
 /// CI runs the Fig. 9 smoke with this set and uploads the file as an
 /// artifact, seeding a machine-readable performance trajectory across
@@ -277,15 +247,11 @@ pub fn write_bench_json_to(experiment: &str, path: &str) {
             json.push(',');
         }
         json.push_str(&format!(
-            "{{\"benchmark\":{},\"strategy\":{},\"compile_seconds\":{:.9}",
+            "{{\"benchmark\":{},\"strategy\":{},\"compile_seconds\":{:.9}}}",
             json_string(&t.benchmark),
             json_string(t.strategy.name()),
             t.compile_seconds,
         ));
-        if let Some(kernel) = t.grape_kernel_seconds {
-            json.push_str(&format!(",\"grape_kernel_seconds\":{kernel:.9}"));
-        }
-        json.push('}');
     }
     json.push_str("]}\n");
     if let Err(e) = std::fs::write(path, json) {
@@ -388,12 +354,7 @@ mod tests {
     fn bench_json_round_trips_recorded_timings() {
         let path = std::env::temp_dir().join("qcc_bench_json_test.json");
         record_compile_timing("MAXCUT-line-4", Strategy::IsaBaseline, 0.125);
-        record_compile_timing_with_kernel(
-            "Ising-chain-4",
-            Strategy::ClsAggregation,
-            0.5,
-            Some(0.25),
-        );
+        record_compile_timing("Ising-chain-4", Strategy::ClsAggregation, 0.5);
         // The explicit-path variant: tests must not set_var while sibling
         // test threads getenv (a libc-level data race).
         write_bench_json_to("unit-test", path.to_str().unwrap());
@@ -403,8 +364,6 @@ mod tests {
         assert!(written.contains("\"benchmark\":\"MAXCUT-line-4\""));
         assert!(written.contains("\"strategy\":\"CLS+Aggregation\""));
         assert!(written.contains("\"compile_seconds\":0.125"));
-        assert!(written.contains("\"grape_kernel_seconds\":0.25"));
-        // Samples recorded without an attribution omit the field entirely.
         assert!(written.contains("\"compile_seconds\":0.125000000}"));
         assert!(written.contains("\"threads\":"));
         // The log drains on write: a second write emits no stale samples.

@@ -10,7 +10,7 @@
 
 use crate::hamiltonian::TransmonSystem;
 use crate::pulse::PulseProgram;
-use qcc_math::{expm, gate_fidelity, matmul_with, CMatrix, ExpmWorkspace, MatmulWorkspace, C64};
+use qcc_math::{expm, gate_fidelity, CMatrix, ExpmWorkspace, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -224,7 +224,6 @@ impl GrapeOptimizer {
 #[derive(Debug, Default)]
 struct GradientWorkspace {
     expm: ExpmWorkspace,
-    mm: MatmulWorkspace,
     step_props: Vec<CMatrix>,
     forward: Vec<CMatrix>,
     backward: Vec<CMatrix>,
@@ -303,21 +302,16 @@ fn fidelity_and_gradient_with(
         // identity keeps the arithmetic of the original accumulator loop.
         let (done, rest) = ws.forward.split_at_mut(j);
         let prev = if j == 0 { &ws.id } else { &done[j - 1] };
-        matmul_with(&ws.step_props[j], prev, &mut rest[0], &mut ws.mm);
+        ws.step_props[j].matmul_into(prev, &mut rest[0]);
     }
     // Backward products B_j = U_N … U_{j+1} (B_{N-1} = I), and the full
     // product U_N … U_1.
     ws.backward[n_steps - 1].copy_from(&ws.id);
     for j in (0..n_steps.saturating_sub(1)).rev() {
         let (head, tail) = ws.backward.split_at_mut(j + 1);
-        matmul_with(&tail[0], &ws.step_props[j + 1], &mut head[j], &mut ws.mm);
+        tail[0].matmul_into(&ws.step_props[j + 1], &mut head[j]);
     }
-    matmul_with(
-        &ws.backward[0],
-        &ws.step_props[0],
-        &mut ws.total,
-        &mut ws.mm,
-    );
+    ws.backward[0].matmul_into(&ws.step_props[0], &mut ws.total);
     let overlap = target.hs_inner(&ws.total); // tr(target† U_total)
     let fidelity = overlap.norm_sqr() / (d * d);
 
@@ -327,10 +321,10 @@ fn fidelity_and_gradient_with(
     // where C_j = target† B_j and P_j = forward[j].
     let mut gradient = vec![vec![0.0f64; n_controls]; n_steps];
     for (j, grad_row) in gradient.iter_mut().enumerate() {
-        matmul_with(&ws.target_dag, &ws.backward[j], &mut ws.c_j, &mut ws.mm);
+        ws.target_dag.matmul_into(&ws.backward[j], &mut ws.c_j);
         // Using the cyclic property: tr(C_j H_k P_j) = tr(P_j C_j H_k), so one
         // matmul per step suffices and each control costs only a trace.
-        matmul_with(&ws.forward[j], &ws.c_j, &mut ws.pc, &mut ws.mm);
+        ws.forward[j].matmul_into(&ws.c_j, &mut ws.pc);
         for (k, (_, h_k, _)) in system.controls().iter().enumerate() {
             // tr(P_j C_j H_k) = Σ_{a,b} (P_j C_j)[a,b] · H_k[b,a].
             let mut tr = C64::zero();

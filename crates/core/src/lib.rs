@@ -58,7 +58,6 @@ pub mod persist;
 pub mod pipeline;
 pub mod schedule;
 pub mod service;
-pub mod staged;
 pub mod verify;
 
 pub use aggregate::{AggregationOptions, AggregationStats};
@@ -84,10 +83,10 @@ pub use service::fleet::{
 };
 pub use service::queue::{
     PassProgress, Priority, ServeConfig, ServeHandle, ServiceError, SubmitOptions, Ticket,
+    DEFAULT_STAGE_CAPACITY,
 };
 pub use service::{
     compile_with_default_model, CachePolicy, CompileCacheStats, CompileService,
     DEFAULT_COMPILE_CACHE_CAPACITY,
 };
-pub use staged::DEFAULT_STAGE_CAPACITY;
 pub use verify::{verify_compilation, verify_sampled_pulses, CircuitVerification};

@@ -389,8 +389,7 @@ impl Pipeline {
     /// Runs the single pass at `index` over `state`, recording its
     /// [`PassReport`] exactly as [`run`](Self::run) does.
     ///
-    /// This is the unit of work of the staged execution mode
-    /// ([`run_staged`](Self::run_staged) and the
+    /// This is the unit of work of the staged serve engine (the
     /// [`service::queue`](crate::service::queue) workers): driving the passes
     /// one index at a time through this method is semantically identical to
     /// one `run` call, so staged output is bit-identical to serial output by

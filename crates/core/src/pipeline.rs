@@ -492,45 +492,39 @@ impl<'a> Compiler<'a> {
         finish(state, options.strategy, circuit.n_qubits())
     }
 
-    /// Compiles a batch of circuits under one option set by streaming them
-    /// through the strategy's pipeline in **staged** mode
-    /// ([`Pipeline::run_staged`]): the passes become concurrent stages with
-    /// bounded hand-off channels, so circuit *i+1* is flattened while circuit
-    /// *i* aggregates — steady-state throughput instead of per-circuit
-    /// barriers.
+    /// Compiles a batch of circuits under one option set, fanning the
+    /// circuits out over the compiler's pool. Each compile gets an equal share
+    /// of the threads for its own pricing loops (`threads / circuits.len()`,
+    /// at least one), so a one-circuit batch keeps the full pool.
     ///
     /// Results are returned in input order and are **bit-identical** to
-    /// compiling each circuit serially: every circuit's passes run in recipe
-    /// order over its own state, the models are deterministic, and the shared
-    /// latency cache is compute-once per key, so a batch warms the cache
-    /// exactly as the same circuits compiled one by one would.
+    /// compiling each circuit serially: every compile runs its recipe over
+    /// its own state, the models are deterministic, and the shared latency
+    /// cache is compute-once per key, so a batch warms the cache exactly as
+    /// the same circuits compiled one by one would. Per-circuit failures
+    /// surface in that circuit's slot without affecting the rest.
     pub fn compile_batch(
         &self,
         circuits: &[Circuit],
         options: &CompilerOptions,
     ) -> Vec<Result<CompilationResult, CompileError>> {
-        if circuits.is_empty() {
-            return Vec::new();
-        }
         self.warm_latency_cache(circuits, options);
-        options
-            .strategy
-            .pipeline()
-            .run_staged(
-                circuits,
-                self.device,
-                self.model,
-                &self.fingerprint,
-                options,
-                self.pool.threads(),
-                crate::staged::DEFAULT_STAGE_CAPACITY,
-            )
-            .into_iter()
-            .zip(circuits)
-            .map(|(state, circuit)| {
-                state.and_then(|s| finish(s, options.strategy, circuit.n_qubits()))
-            })
-            .collect()
+        let inner = self.split(circuits.len());
+        self.pool
+            .parallel_map(circuits, |circuit| inner.try_compile(circuit, options))
+    }
+
+    /// A compiler over the same target with the thread budget split `ways`
+    /// ways (at least one thread each): the inner compiler of a fan-out over
+    /// `ways` independent compiles, so the nesting never spawns more than
+    /// ~pool-size threads in total.
+    fn split(&self, ways: usize) -> Compiler<'a> {
+        Compiler {
+            device: self.device,
+            model: self.model,
+            pool: ThreadPool::new(self.pool.threads() / ways.max(1)),
+            fingerprint: self.fingerprint.clone(),
+        }
     }
 
     /// Batch warm-up: pre-prices the routed instruction streams of every
@@ -547,7 +541,7 @@ impl<'a> Compiler<'a> {
     /// solves just happen earlier and on more threads. Skipped when it
     /// cannot pay: uninstrumented cheap models, single-threaded pools, and
     /// per-gate-priced strategies.
-    pub(crate) fn warm_latency_cache(&self, circuits: &[Circuit], options: &CompilerOptions) {
+    fn warm_latency_cache(&self, circuits: &[Circuit], options: &CompilerOptions) {
         if !self.model.parallel_pricing()
             || self.pool.threads() <= 1
             || !options.strategy.pulse_per_instruction()
@@ -598,15 +592,7 @@ impl<'a> Compiler<'a> {
         aggregation: AggregationOptions,
     ) -> StrategyComparison {
         let strategies = Strategy::all();
-        // Split the thread budget between the outer strategy fan-out and the
-        // pricing loops inside each compile, so the nesting never spawns more
-        // than ~pool-size threads in total.
-        let inner = Compiler {
-            device: self.device,
-            model: self.model,
-            pool: ThreadPool::new((self.pool.threads() / strategies.len()).max(1)),
-            fingerprint: self.fingerprint.clone(),
-        };
+        let inner = self.split(strategies.len());
         let results = self.pool.parallel_map(&strategies, |&strategy| {
             let options = CompilerOptions {
                 strategy,

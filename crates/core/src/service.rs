@@ -17,7 +17,7 @@ use crate::pipeline::{CompilationResult, Compiler, CompilerOptions};
 use qcc_hw::persist::{fnv64, hex16, SnapshotWriter, SNAPSHOT_EXTENSION};
 use qcc_hw::{Backend, CalibratedLatencyModel, ControlLimits, Device, LatencyModel, PersistError};
 use qcc_ir::{ByteCursor, Circuit, DecodeError};
-use queue::{ServeConfig, ServeHandle, ServiceError, SubmitOptions};
+use queue::{ServeConfig, ServeHandle};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -728,9 +728,9 @@ impl<'d> CompileService<'d> {
         queue::serve(self, config, f)
     }
 
-    /// Compiles a batch of circuits through a serving session on the staged
-    /// pass pipeline; see [`Compiler::compile_batch`] for the determinism and
-    /// thread-budget guarantees (including the shared-cache warm-up).
+    /// Compiles a batch of circuits; see [`Compiler::compile_batch`] for the
+    /// determinism and thread-budget guarantees (including the shared-cache
+    /// warm-up).
     ///
     /// Requests already in the compile cache are answered without compiling,
     /// and duplicate circuits within the batch compile once — both receive
@@ -742,9 +742,9 @@ impl<'d> CompileService<'d> {
         circuits: &[Circuit],
         options: &CompilerOptions,
     ) -> Vec<Result<CompilationResult, CompileError>> {
-        if circuits.is_empty() {
-            return Vec::new();
-        }
+        self.counters
+            .submitted
+            .fetch_add(circuits.len(), Ordering::Relaxed);
         let keys: Vec<Vec<u8>> = circuits
             .iter()
             .map(|c| self.request_key(c, options))
@@ -768,64 +768,24 @@ impl<'d> CompileService<'d> {
             }
         }
         let unique: Vec<Circuit> = to_compile.iter().map(|&i| circuits[i].clone()).collect();
-        // Pre-warm shared latency caches on the full pool, then stream the
-        // unique circuits through a serving session. The submits bypass the
-        // compile cache (hits were already resolved above); completion inserts
-        // the results, so repeats of this batch become pure hits.
-        self.compiler().warm_latency_cache(&unique, options);
-        let compiled: Vec<Result<CompilationResult, CompileError>> = if unique.is_empty() {
-            Vec::new()
-        } else {
-            self.serve(
-                ServeConfig {
-                    queue_capacity: unique.len(),
-                    ..ServeConfig::default()
-                },
-                |handle| {
-                    let tickets: Vec<_> = unique
-                        .iter()
-                        .map(|circuit| {
-                            handle
-                                .submit(circuit, options, SubmitOptions::batch_bypass())
-                                .expect("queue sized to the batch")
-                        })
-                        .collect();
-                    tickets
-                        .into_iter()
-                        .map(|t| {
-                            handle.wait(t).map_err(|e| match e {
-                                ServiceError::Compile(c) => c,
-                                // No deadlines and a queue sized to the batch.
-                                other => unreachable!("batch serve cannot {other}"),
-                            })
-                        })
-                        .collect()
-                },
-            )
-        };
+        let compiled = self.compiler().compile_batch(&unique, options);
         for (&i, result) in to_compile.iter().zip(compiled) {
+            if self.cache.enabled() {
+                if let Ok(r) = &result {
+                    self.cache.insert(keys[i].clone(), Arc::new(r.clone()));
+                }
+            }
             out[i] = Some(result);
         }
-        // Duplicates copy their representative's result; hits and duplicates
-        // count as submitted-and-completed alongside the served uniques.
-        let mut shortcut = 0;
+        // Duplicates copy their representative's result.
         for i in 0..circuits.len() {
             if out[i].is_none() {
-                let &rep = representative
-                    .get(keys[i].as_slice())
-                    .expect("every non-hit key has a representative");
-                out[i] = out[rep].clone();
-                shortcut += 1;
-            } else if !to_compile.contains(&i) {
-                shortcut += 1;
+                out[i] = out[representative[keys[i].as_slice()]].clone();
             }
         }
         self.counters
-            .submitted
-            .fetch_add(shortcut, Ordering::Relaxed);
-        self.counters
             .completed
-            .fetch_add(shortcut, Ordering::Relaxed);
+            .fetch_add(circuits.len(), Ordering::Relaxed);
         out.into_iter()
             .map(|r| r.expect("every batch entry resolved"))
             .collect()

@@ -80,6 +80,11 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 use threadpool::{mpmc, ThreadPool};
 
+/// Default capacity of each stage's bounded hand-off queue. Small on
+/// purpose: each queued entry holds a full instruction stream, and a deep
+/// queue only hides backpressure without adding overlap.
+pub const DEFAULT_STAGE_CAPACITY: usize = 4;
+
 /// Priority class of a request: which admission queue it waits in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Priority {
@@ -99,9 +104,6 @@ pub struct SubmitOptions {
     priority: Priority,
     deadline: Option<Duration>,
     progress: Option<mpmc::Sender<PassProgress>>,
-    /// The batch front door resolves cache hits itself before submitting;
-    /// this skips the redundant second lookup (and its stat double-count).
-    pub(crate) bypass_cache: bool,
 }
 
 impl SubmitOptions {
@@ -126,17 +128,6 @@ impl SubmitOptions {
     pub fn progress(mut self, sender: mpmc::Sender<PassProgress>) -> Self {
         self.progress = Some(sender);
         self
-    }
-
-    /// Options used by [`CompileService::compile_batch`]: batch priority,
-    /// submit-side cache lookup skipped (the batch front door resolved hits
-    /// itself).
-    pub(crate) fn batch_bypass() -> Self {
-        Self {
-            priority: Priority::Batch,
-            bypass_cache: true,
-            ..Self::default()
-        }
     }
 }
 
@@ -223,7 +214,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             queue_capacity: 256,
-            stage_capacity: crate::staged::DEFAULT_STAGE_CAPACITY,
+            stage_capacity: DEFAULT_STAGE_CAPACITY,
             workers: 0,
             start_paused: false,
         }
@@ -348,24 +339,22 @@ impl<'a, 'd> ServeHandle<'a, 'd> {
             None
         };
         let mut st = self.engine.state.lock().expect("serve engine poisoned");
-        if !submit.bypass_cache {
-            if let Some(key) = &cache_key {
-                if let Some(hit) = self.service.cache.get(key) {
-                    let ticket = st.next_ticket;
-                    st.next_ticket += 1;
-                    self.service
-                        .counters
-                        .submitted
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.service
-                        .counters
-                        .completed
-                        .fetch_add(1, Ordering::Relaxed);
-                    st.completed.insert(ticket, Ok((*hit).clone()));
-                    st.completion_order.push(Ticket(ticket));
-                    self.engine.done.notify_all();
-                    return Ok(Ticket(ticket));
-                }
+        if let Some(key) = &cache_key {
+            if let Some(hit) = self.service.cache.get(key) {
+                let ticket = st.next_ticket;
+                st.next_ticket += 1;
+                self.service
+                    .counters
+                    .submitted
+                    .fetch_add(1, Ordering::Relaxed);
+                self.service
+                    .counters
+                    .completed
+                    .fetch_add(1, Ordering::Relaxed);
+                st.completed.insert(ticket, Ok((*hit).clone()));
+                st.completion_order.push(Ticket(ticket));
+                self.engine.done.notify_all();
+                return Ok(Ticket(ticket));
             }
         }
         if st.interactive.len() + st.batch.len() >= self.engine.queue_capacity {

@@ -274,17 +274,23 @@ impl LatencyModel for CalibratedLatencyModel {
             }
         }
         // Per-qubit load: areas of pairs sharing a qubit serialize, disjoint
-        // pairs run concurrently.
-        let mut two_q_load: HashMap<usize, f64> = HashMap::new();
+        // pairs run concurrently. Each qubit's pair times are summed in
+        // ascending order, so the float sum depends neither on hash-map
+        // iteration order nor on the qubit labels.
+        let mut pair_times: Vec<(usize, f64)> = Vec::with_capacity(2 * pair_area.len());
         for (&(a, b), &area) in &pair_area {
             let t = l.two_qubit_time(area);
-            *two_q_load.entry(a).or_insert(0.0) += t;
-            *two_q_load.entry(b).or_insert(0.0) += t;
+            pair_times.push((a, t));
+            pair_times.push((b, t));
         }
+        pair_times.sort_unstable_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
+        let t_interaction = pair_times
+            .chunk_by(|x, y| x.0 == y.0)
+            .map(|qubit| qubit.iter().fold(0.0, |load, &(_, t)| load + t))
+            .fold(0.0f64, f64::max);
         // Single-qubit rotations on one qubit similarly compose to a single
         // rotation of angle at most π between entangling segments; cap the
         // per-qubit single-qubit content accordingly.
-        let t_interaction = two_q_load.values().fold(0.0f64, |a, &b| a.max(b));
         let t_single = one_q_area
             .values()
             .map(|&angle| l.one_qubit_time(angle.min(PI)))

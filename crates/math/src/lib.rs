@@ -8,10 +8,11 @@
 //!
 //! The crate is deliberately sized for the regime of the ASPLOS'19 paper this
 //! workspace reproduces: unitaries of at most ten qubits (1024×1024), dense
-//! storage, `f64` precision. The matmul hot path is a tiered kernel engine
-//! (see [`kernels`]): a scalar reference loop, a cache-blocked split-plane
-//! tier, and a runtime-dispatched AVX2 tier, all bit-identical by
-//! construction and selectable via `QCC_KERNEL`.
+//! storage, `f64` precision. Every product is the one scalar loop of
+//! [`CMatrix::matmul_into`]. Its hot caller is the optimal-control unit,
+//! whose products stay at 8×8 or below for every GRAPE model in the
+//! workspace (none covers more than three qubits); it goes through an
+//! [`ExpmWorkspace`] that reuses the buffers across calls.
 //!
 //! ## Example
 //!
@@ -29,7 +30,6 @@
 pub mod complex;
 pub mod expm;
 pub mod fidelity;
-pub mod kernels;
 pub mod linalg;
 pub mod matrix;
 pub mod pauli;
@@ -40,9 +40,6 @@ pub use expm::{expm, expm_with, propagator, try_expm, try_expm_with, ExpmWorkspa
 pub use fidelity::{
     average_gate_fidelity, frobenius_distance, gate_fidelity, gate_infidelity,
     phase_invariant_distance, state_fidelity,
-};
-pub use kernels::{
-    matmul_with, selected_kernel, total_kernel_seconds, MatmulKernel, MatmulWorkspace,
 };
 pub use linalg::{det, inverse, solve, solve_matrix, LinalgError, LuDecomposition};
 pub use matrix::CMatrix;

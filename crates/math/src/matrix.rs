@@ -1,14 +1,9 @@
 //! Dense, row-major complex matrices.
 //!
 //! Sizes in this workspace are at most `2^10 × 2^10` (ten-qubit unitaries),
-//! dense, `f64` precision. Storage is row-major AoS `Vec<C64>` — the layout
-//! every caller sees — but multiplication is tiered: [`CMatrix::matmul_into`]
-//! is the scalar ikj reference loop, and the [`crate::kernels`] module layers
-//! cache-blocked and SIMD tiers on top of it that pack the right operand into
-//! split re/im planes ("SoA") at tile-pack time and are pinned bit-identical
-//! to this reference. Hot paths (`expm`, the GRAPE propagator chain) go
-//! through [`crate::kernels::matmul_with`]; everything else uses the methods
-//! here directly.
+//! dense, `f64` precision, stored row-major as `Vec<C64>`. Multiplication is
+//! the scalar ikj loop of [`CMatrix::matmul_into`]; the hot paths (`expm`,
+//! the GRAPE propagator chain) call it with reused output buffers.
 
 use crate::complex::C64;
 use serde::{Deserialize, Serialize};
@@ -276,15 +271,6 @@ impl CMatrix {
                 }
             }
         }
-    }
-
-    /// Reshapes to `rows × cols` reusing the allocation, leaving the entry
-    /// values unspecified — for kernel paths that are about to overwrite
-    /// every entry (skipping the zero fill a public reshape would pay).
-    pub(crate) fn reshape_raw(&mut self, rows: usize, cols: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        self.data.resize(rows * cols, C64::zero());
     }
 
     /// Overwrites `self` with a copy of `src`, reusing the allocation.

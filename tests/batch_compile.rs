@@ -1,5 +1,5 @@
 //! The batch front door: `Compiler::compile_batch` / `CompileService` must be
-//! deterministic under the thread-pool fan-out — batch results across ≥4
+//! deterministic under the thread-pool fan-out — batch results at 2, 4 and 8
 //! threads are bit-identical to compiling each circuit serially — and must
 //! share the latency cache so every distinct GRAPE key is solved exactly once
 //! for the whole batch.
@@ -27,27 +27,32 @@ fn batched_compilation_matches_per_circuit_serial_compiles() {
     let circuits = batch_workloads(8);
     let device = Device::transmon_grid(8);
     let model = CalibratedLatencyModel::new(device.limits);
+    let serial = Compiler::new(&device, &model).with_threads(1);
     for strategy in Strategy::all() {
         let options = CompilerOptions::strategy(strategy);
-        let batched = Compiler::new(&device, &model)
-            .with_threads(4)
-            .compile_batch(&circuits, &options);
-        assert_eq!(batched.len(), circuits.len());
+        let references: Vec<_> = circuits
+            .iter()
+            .map(|c| serial.compile(c, &options))
+            .collect();
+        for threads in [2, 4, 8] {
+            let batched = Compiler::new(&device, &model)
+                .with_threads(threads)
+                .compile_batch(&circuits, &options);
+            assert_eq!(batched.len(), circuits.len());
 
-        let serial = Compiler::new(&device, &model).with_threads(1);
-        for (i, (circuit, result)) in circuits.iter().zip(&batched).enumerate() {
-            let batch_result = result.as_ref().expect("batch entry compiled");
-            let reference = serial.compile(circuit, &options);
-            assert_eq!(
-                batch_result.total_latency_ns.to_bits(),
-                reference.total_latency_ns.to_bits(),
-                "{strategy:?}: batch entry {i} drifted from the serial compile"
-            );
-            assert_eq!(batch_result.latencies.len(), reference.latencies.len());
-            for (a, b) in batch_result.latencies.iter().zip(&reference.latencies) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{strategy:?}: entry {i}");
+            for (i, (result, reference)) in batched.iter().zip(&references).enumerate() {
+                let batch_result = result.as_ref().expect("batch entry compiled");
+                assert_eq!(
+                    batch_result.total_latency_ns.to_bits(),
+                    reference.total_latency_ns.to_bits(),
+                    "{strategy:?}: batch entry {i} at {threads} threads drifted from the serial compile"
+                );
+                assert_eq!(batch_result.latencies.len(), reference.latencies.len());
+                for (a, b) in batch_result.latencies.iter().zip(&reference.latencies) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{strategy:?}: entry {i}");
+                }
+                assert_eq!(batch_result.swap_count, reference.swap_count);
             }
-            assert_eq!(batch_result.swap_count, reference.swap_count);
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use qcc::compiler::{
     AggregationOptions, CompileService, Compiler, CompilerOptions, PassProgress, Priority,
-    ServeConfig, ServiceError, Strategy, SubmitOptions,
+    ServeConfig, ServiceError, Strategy, SubmitOptions, DEFAULT_STAGE_CAPACITY,
 };
 use qcc::control::GrapeLatencyModel;
 use qcc::hw::{CalibratedLatencyModel, Device};
@@ -37,12 +37,19 @@ fn served_results_are_bit_identical_to_serial_for_every_strategy_and_worker_coun
             .iter()
             .map(|c| serial.compile(c, &options))
             .collect();
-        for workers in [1usize, 4, 8] {
+        // Capacity 1 forces constant backpressure through every stage.
+        for (workers, stage_capacity) in [
+            (1usize, DEFAULT_STAGE_CAPACITY),
+            (4, DEFAULT_STAGE_CAPACITY),
+            (8, DEFAULT_STAGE_CAPACITY),
+            (8, 1),
+        ] {
             // Cache disabled: every request must really flow through the
             // staged pipeline.
             let service = CompileService::new(&device).with_compile_cache(0);
             let config = ServeConfig {
                 workers,
+                stage_capacity,
                 ..ServeConfig::default()
             };
             let served = service.serve(config, |handle| {
@@ -63,7 +70,8 @@ fn served_results_are_bit_identical_to_serial_for_every_strategy_and_worker_coun
                 assert_eq!(
                     got.total_latency_ns.to_bits(),
                     reference.total_latency_ns.to_bits(),
-                    "{strategy:?}: request {i} at {workers} workers drifted from serial"
+                    "{strategy:?}: request {i} at {workers} workers, stage capacity \
+                     {stage_capacity} drifted from serial"
                 );
                 assert_eq!(got.instructions, reference.instructions);
                 assert_eq!(got.latencies.len(), reference.latencies.len());
@@ -276,7 +284,7 @@ fn serving_sessions_keep_grape_solves_exactly_once() {
 }
 
 #[test]
-fn service_batch_rides_the_staged_path_and_counts_requests() {
+fn service_batch_counts_every_request_including_cache_hits() {
     let circuits = serve_workloads(6);
     let device = Device::transmon_grid(6);
     let service = CompileService::new(&device).with_threads(4);
