@@ -13,9 +13,8 @@
 //! `QCC_BENCH_JSON=<path>` to additionally write the per-strategy compile
 //! wall-clock timings as machine-readable JSON ([`write_bench_json`]) — the
 //! artifact CI uploads to track the performance trajectory. Set
-//! `QCC_FLEET=<n>` to size the backend fleet in the fleet-routing experiment
-//! ([`fleet_size_from_env`]), and `QCC_PARTITIONS=<k>` to pick the region
-//! count of the partitioned-compilation lanes ([`partitions_from_env`]).
+//! `QCC_PARTITIONS=<k>` to pick the region count of the
+//! partitioned-compilation lanes ([`partitions_from_env`]).
 
 #![warn(missing_docs)]
 
@@ -76,40 +75,6 @@ pub fn strategies_from(value: Option<&str>) -> Result<Vec<Strategy>, String> {
         Ok(vec![chosen])
     } else {
         Ok(vec![Strategy::IsaBaseline, chosen])
-    }
-}
-
-/// Fleet size selected by the `QCC_FLEET` environment variable (number of
-/// backends the fleet-routing experiment spreads load across). Unset or
-/// empty: `default`.
-///
-/// # Panics
-///
-/// Panics with a message naming the offending value when the variable is set
-/// to anything but a positive integer — a typo'd fleet size must be a loud
-/// startup error, not a silent single-backend run.
-pub fn fleet_size_from_env(default: usize) -> usize {
-    fleet_size_from(std::env::var("QCC_FLEET").ok().as_deref(), default)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Pure parsing unit behind [`fleet_size_from_env`]: `None` or an
-/// empty/whitespace value selects `default`; otherwise the value must parse
-/// as an integer ≥ 1, and the error names the offending value.
-pub fn fleet_size_from(value: Option<&str>, default: usize) -> Result<usize, String> {
-    let Some(raw) = value else {
-        return Ok(default);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(default);
-    }
-    match trimmed.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        Ok(_) => Err(format!(
-            "invalid QCC_FLEET value '{raw}': fleet size must be at least 1"
-        )),
-        Err(e) => Err(format!("invalid QCC_FLEET value '{raw}': {e}")),
     }
 }
 
@@ -396,21 +361,6 @@ mod tests {
         for bad in ["clsx", "aggregation+cls", "42"] {
             let err = strategies_from(Some(bad)).unwrap_err();
             assert!(err.contains("QCC_STRATEGY"), "{err}");
-            assert!(err.contains(bad), "error must name the value: {err}");
-        }
-    }
-
-    #[test]
-    fn fleet_env_parsing_selects_and_rejects() {
-        // Pure-function tests, same rationale as the strategy parser above.
-        assert_eq!(fleet_size_from(None, 3), Ok(3));
-        assert_eq!(fleet_size_from(Some(""), 3), Ok(3));
-        assert_eq!(fleet_size_from(Some("  "), 5), Ok(5));
-        assert_eq!(fleet_size_from(Some("4"), 3), Ok(4));
-        assert_eq!(fleet_size_from(Some(" 2 "), 3), Ok(2));
-        for bad in ["0", "-1", "two", "3.5", "1e2"] {
-            let err = fleet_size_from(Some(bad), 3).unwrap_err();
-            assert!(err.contains("QCC_FLEET"), "{err}");
             assert!(err.contains(bad), "error must name the value: {err}");
         }
     }

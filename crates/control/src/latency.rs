@@ -141,8 +141,8 @@ impl GrapeLatencyModel {
     /// Byte encoding of the solver configuration: control limits, every
     /// [`GrapeConfig`] field, the numeric-width cutoff, and the bisection
     /// depth. Two models that could return different latencies for the same
-    /// instruction list get different prefixes, so a fleet of GRAPE-priced
-    /// backends can share one process (and one key space) without collisions.
+    /// instruction list get different prefixes, so their cache entries and
+    /// snapshots never collide.
     fn solver_prefix(
         limits: &ControlLimits,
         grape: &GrapeConfig,
@@ -176,7 +176,7 @@ impl GrapeLatencyModel {
     /// gates do not commute in general, so `[X(0); H(0)]` and `[H(0); X(0)]`
     /// are different target unitaries and must price independently. The key is
     /// this model's solver prefix (control limits + full GRAPE configuration —
-    /// the backend-identity part of the key) followed by the injective byte
+    /// the solver-identity part of the key) followed by the injective byte
     /// encoding of the sequence ([`Instruction::encode_into`]): variant tags,
     /// raw `f64::to_bits` angle bit patterns, and qubit indices — nearby
     /// rotation angles never share a key, and building it allocates one small
@@ -691,8 +691,8 @@ mod tests {
     fn cache_keys_diverge_across_solver_configurations() {
         // Two models that could price the same instruction differently —
         // different control limits, or different GRAPE settings — must never
-        // share a key, or a fleet of backends in one process would cross-read
-        // each other's cached latencies.
+        // share a key, or a snapshot written by one would warm-start the
+        // other with the wrong latencies.
         let query = [inst(Gate::X, &[0]), inst(Gate::H, &[0])];
         let base = GrapeLatencyModel::fast_two_qubit();
         let fast_limits = GrapeLatencyModel::new(

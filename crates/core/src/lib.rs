@@ -64,8 +64,7 @@ pub use aggregate::{AggregationOptions, AggregationStats};
 pub use instr::{AggregateInstruction, InstructionOrigin};
 pub use mapping::Layout;
 pub use partition::{
-    partition_circuit, LogicalPartition, LogicalRegion, PartitionOptions, PartitionPass,
-    PartitionPlan, PartitionSummary, RegionTelemetry,
+    PartitionOptions, PartitionPass, PartitionPlan, PartitionSummary, RegionTelemetry,
 };
 pub use passes::{
     CompileError, GatePricing, Pass, PassContext, PassReport, PassState, Pipeline, PipelineBuilder,
@@ -75,12 +74,8 @@ pub use persist::{cache_dir_from, cache_dir_from_env, decode_result, encode_resu
 pub use pipeline::{
     CompilationResult, Compiler, CompilerOptions, ParseStrategyError, Strategy, StrategyComparison,
 };
-pub use qcc_hw::{Backend, PersistError, PersistentCache, PricingStats};
+pub use qcc_hw::{PersistError, PersistentCache, PricingStats};
 pub use schedule::{asap_schedule, Schedule, ScheduledInstruction};
-pub use service::fleet::{
-    CandidateQuote, Fleet, FleetBackendStats, FleetSubmitOptions, FleetTicket,
-    PartitionedSubmission, Relocation, RoutingDecision, DEFAULT_RELOCATION_HYSTERESIS_NS,
-};
 pub use service::queue::{
     PassProgress, Priority, ServeConfig, ServeHandle, ServiceError, SubmitOptions, Ticket,
     DEFAULT_STAGE_CAPACITY,

@@ -13,8 +13,8 @@
 //!    more regions become the explicit **cut set**;
 //! 3. each region's interior instructions are compiled **in parallel** on the
 //!    compiler's thread pool — the normal aggregation machinery runs per
-//!    region, against the shared latency model, so the backend-fingerprinted
-//!    GRAPE cache is reused across regions and solves stay exactly-once;
+//!    region, against the shared latency model, so the GRAPE cache is reused
+//!    across regions and solves stay exactly-once;
 //! 4. the region streams and the cut-set instructions are **stitched** back
 //!    into one program in dependency order, and the final ASAP schedule over
 //!    the stitched stream accounts for the cross-cut serialization.
@@ -56,18 +56,14 @@
 //! * [`CompileService::compile_partitioned`](crate::CompileService::compile_partitioned)
 //!   — the serving surface (cached, counted in
 //!   [`CompileCacheStats`](crate::CompileCacheStats));
-//! * [`Fleet::submit_partitioned`](crate::Fleet::submit_partitioned) — regions
-//!   become independently routable sub-circuits fanned out across backends;
 //! * [`PartitionPass`] — the composable pass for custom
 //!   [`PipelineBuilder`](crate::PipelineBuilder) orders.
 
 use crate::aggregate::{self, AggregationStats};
-use crate::frontend;
 use crate::instr::AggregateInstruction;
 use crate::mapping;
 use crate::passes::{CompileError, Pass, PassContext, PassState};
 use qcc_graph::partition as graph_partition;
-use qcc_ir::Circuit;
 use std::time::{Duration, Instant};
 use threadpool::ThreadPool;
 
@@ -360,91 +356,6 @@ impl Pass for PartitionPass {
     }
 }
 
-/// One region of a logical-level circuit partition: the original qubits it
-/// owns and its sub-circuit compacted onto `0..qubits.len()` — an
-/// independently routable unit a [`Fleet`](crate::Fleet) can place on any
-/// backend large enough for the *region* rather than the whole circuit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogicalRegion {
-    /// Sorted original logical qubits of the region.
-    pub qubits: Vec<usize>,
-    /// The region's interior gates, in program order, remapped onto
-    /// `0..qubits.len()`.
-    pub circuit: Circuit,
-}
-
-/// A circuit cut into independently compilable sub-circuits plus the explicit
-/// cross-region remainder. Produced by [`partition_circuit`]; consumed by
-/// [`Fleet::submit_partitioned`](crate::Fleet::submit_partitioned).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogicalPartition {
-    /// The non-empty regions, each with a compacted sub-circuit.
-    pub regions: Vec<LogicalRegion>,
-    /// Every gate straddling two regions, on the original qubit indices and
-    /// in program order — nothing is silently dropped: the caller owns
-    /// scheduling these at the seams (e.g. pricing the cross-backend cost).
-    pub cut: Circuit,
-    /// Total interaction-graph weight crossing region boundaries.
-    pub cut_weight: f64,
-}
-
-/// Cuts a circuit into `k` weakly coupled sub-circuits at the *logical* level
-/// (before any device is chosen): flatten to the virtual ISA, partition the
-/// qubit-interaction graph, and split the gate stream into per-region
-/// circuits plus the cross-region cut set.
-///
-/// Unlike the in-pipeline [`PartitionPass`] (which partitions the routed
-/// stream and stitches one schedule for one device), this is the fan-out
-/// shape: each region is a self-contained [`Circuit`] on `0..region_width`
-/// qubits that any sufficiently large backend can compile independently.
-pub fn partition_circuit(circuit: &Circuit, k: usize) -> LogicalPartition {
-    let instrs = frontend::lower(circuit);
-    let g = mapping::interaction_graph(&instrs, circuit.n_qubits());
-    let mut parts: Vec<Vec<usize>> = graph_partition::k_way_partition(&g, k.max(1))
-        .into_iter()
-        .filter(|p| !p.is_empty())
-        .collect();
-    if parts.is_empty() {
-        parts.push(Vec::new());
-    }
-    for part in &mut parts {
-        part.sort_unstable();
-    }
-    let cut_weight = graph_partition::k_way_cut_weight(&g, &parts);
-    let mut region_of = vec![0usize; circuit.n_qubits()];
-    let mut local_index = vec![0usize; circuit.n_qubits()];
-    for (r, part) in parts.iter().enumerate() {
-        for (local, &q) in part.iter().enumerate() {
-            region_of[q] = r;
-            local_index[q] = local;
-        }
-    }
-    let mut regions: Vec<LogicalRegion> = parts
-        .iter()
-        .map(|qubits| LogicalRegion {
-            qubits: qubits.clone(),
-            circuit: Circuit::new(qubits.len()),
-        })
-        .collect();
-    let mut cut = Circuit::new(circuit.n_qubits());
-    for agg in &instrs {
-        for inst in &agg.constituents {
-            let home = inst.qubits.first().map_or(0, |&q| region_of[q]);
-            if inst.qubits.iter().all(|&q| region_of[q] == home) {
-                let local: Vec<usize> = inst.qubits.iter().map(|&q| local_index[q]).collect();
-                regions[home].circuit.push(inst.gate, &local);
-            } else {
-                cut.push(inst.gate, &inst.qubits);
-            }
-        }
-    }
-    LogicalPartition {
-        regions,
-        cut,
-        cut_weight,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,49 +429,5 @@ mod tests {
         // Zero qubits.
         let plan = PartitionPlan::of(&[], 0, 3);
         assert_eq!(plan.regions(), 1);
-    }
-
-    #[test]
-    fn logical_partition_conserves_every_gate() {
-        let mut c = Circuit::new(6);
-        for q in 0..6 {
-            c.push(Gate::H, &[q]);
-        }
-        for &(a, b) in &[(0usize, 1usize), (1, 2), (3, 4), (4, 5), (2, 3)] {
-            c.push(Gate::Cnot, &[a, b]);
-            c.push(Gate::Rz(0.5), &[b]);
-        }
-        let lp = partition_circuit(&c, 2);
-        let region_gates: usize = lp.regions.iter().map(|r| r.circuit.len()).sum();
-        assert_eq!(
-            region_gates + lp.cut.len(),
-            c.len(),
-            "every flattened gate lands in exactly one region or the cut"
-        );
-        if !lp.cut.is_empty() {
-            assert!(lp.cut_weight > 0.0, "crossing gates imply crossing weight");
-        }
-        // Region circuits are compacted: widths match their qubit lists.
-        for region in &lp.regions {
-            assert_eq!(region.circuit.n_qubits(), region.qubits.len());
-            for inst in region.circuit.instructions() {
-                assert!(inst.qubits.iter().all(|&q| q < region.qubits.len()));
-            }
-        }
-        // The cut keeps original indices.
-        assert_eq!(lp.cut.n_qubits(), 6);
-    }
-
-    #[test]
-    fn logical_partition_single_region_is_the_whole_flattened_circuit() {
-        let mut c = Circuit::new(3);
-        c.push(Gate::H, &[0]);
-        c.push(Gate::Cnot, &[0, 1]);
-        c.push(Gate::Cnot, &[1, 2]);
-        let lp = partition_circuit(&c, 1);
-        assert_eq!(lp.regions.len(), 1);
-        assert_eq!(lp.cut.len(), 0);
-        assert_eq!(lp.cut_weight, 0.0);
-        assert_eq!(lp.regions[0].circuit.len(), c.len());
     }
 }

@@ -97,9 +97,10 @@ use std::time::{Duration, Instant};
 /// Error produced by a pass or by the pipeline driver.
 ///
 /// The built-in `Strategy` recipes never fail on a device large enough for the
-/// circuit; errors surface for undersized devices and for custom pipelines
+/// circuit; errors surface for undersized devices, for custom pipelines
 /// assembled in an order that leaves the state incomplete (e.g. scheduling
-/// before pricing).
+/// before pricing), and for a pass or latency model that panics inside a
+/// batch or serving session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
     /// The device has fewer physical qubits than the circuit needs.
@@ -121,6 +122,13 @@ pub enum CompileError {
         /// Name of the missing stage (`"price"` or `"schedule"`).
         missing: &'static str,
     },
+    /// A pass or the latency model panicked. Batches and serving sessions
+    /// catch the panic at the request boundary, so it fails this request
+    /// only.
+    Panicked {
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -138,11 +146,28 @@ impl fmt::Display for CompileError {
             CompileError::IncompletePipeline { missing } => {
                 write!(f, "pipeline finished without a '{missing}' stage")
             }
+            CompileError::Panicked { message } => write!(f, "compilation panicked: {message}"),
         }
     }
 }
 
 impl std::error::Error for CompileError {}
+
+/// Runs `f`, turning a panic inside it into [`CompileError::Panicked`]: the
+/// request boundary of batches and serving sessions, so one poisoned request
+/// fails alone instead of taking its batch or worker down with it.
+pub(crate) fn catch_panic<T>(
+    f: impl FnOnce() -> Result<T, CompileError>,
+) -> Result<T, CompileError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(CompileError::Panicked { message })
+    })
+}
 
 /// How gates are priced when instructions are *not* compiled into single
 /// optimized pulses: the cost of an instruction is the sum of its constituent
@@ -201,19 +226,17 @@ impl<'a> PassContext<'a> {
         }
     }
 
-    /// Attaches the identity bytes of the backend this compilation targets
-    /// (see [`qcc_hw::Backend::fingerprint`]). Passes and caches that outlive
-    /// one compilation key on these bytes so a fleet of backends can share
-    /// one process without cross-backend collisions. Compilations driven
-    /// through a backend-less [`Compiler::new`](crate::pipeline::Compiler::new)
-    /// carry an empty fingerprint.
+    /// Attaches caller-chosen identity bytes to this context. Nothing in the
+    /// library reads the value: every compiler and service builds its
+    /// contexts without one, so they carry an empty fingerprint.
     pub fn with_backend_fingerprint(mut self, fingerprint: &'a [u8]) -> Self {
         self.backend_fingerprint = fingerprint;
         self
     }
 
-    /// The identity bytes of the backend being compiled for (empty when the
-    /// compilation was not dispatched against a named backend).
+    /// The bytes set by
+    /// [`with_backend_fingerprint`](Self::with_backend_fingerprint), empty by
+    /// default.
     pub fn backend_fingerprint(&self) -> &[u8] {
         self.backend_fingerprint
     }

@@ -13,9 +13,9 @@
 //! `grape-latency-cache-<hex16>.qccsnap` for the latency model's solve cache
 //! (when the model has one) and `compile-results-<hex16>.qccsnap` for the
 //! compile-result cache. The hex token is the FNV-1a 64 hash of each cache's
-//! own fingerprint namespace — backend identity plus, for the result cache,
-//! the model's solver fingerprint — so any number of fleet lanes can share
-//! one directory without aliasing. Loads are strict underneath
+//! own fingerprint namespace — device and model identity plus, for the
+//! result cache, the model's solver fingerprint — so services for different
+//! targets can share one directory without aliasing. Loads are strict underneath
 //! ([`PersistError`] naming any mismatch) with degrade-to-cold wrappers on
 //! top: a missing, corrupt, truncated, foreign-version, or
 //! differently-calibrated snapshot simply leaves the cache empty. See the

@@ -22,11 +22,12 @@ use crate::aggregate::{AggregationOptions, AggregationStats};
 use crate::instr::AggregateInstruction;
 use crate::mapping;
 use crate::passes::{
-    Aggregate, AsapSchedule, Cls, CompileError, DetectDiagonalBlocks, Flatten, GatePricing,
-    HandOptimize, PassContext, PassReport, PassState, Pipeline, PipelineBuilder, Price, Route,
+    catch_panic, Aggregate, AsapSchedule, Cls, CompileError, DetectDiagonalBlocks, Flatten,
+    GatePricing, HandOptimize, PassContext, PassReport, PassState, Pipeline, PipelineBuilder,
+    Price, Route,
 };
 use crate::schedule::Schedule;
-use qcc_hw::{Backend, Device, LatencyModel};
+use qcc_hw::{Device, LatencyModel};
 use qcc_ir::{Circuit, Instruction};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -363,7 +364,6 @@ pub struct Compiler<'a> {
     device: &'a Device,
     model: &'a dyn LatencyModel,
     pool: ThreadPool,
-    fingerprint: Vec<u8>,
 }
 
 impl<'a> Compiler<'a> {
@@ -373,30 +373,10 @@ impl<'a> Compiler<'a> {
     /// overridable with the `QCC_THREADS` environment variable; use
     /// [`with_threads`](Self::with_threads) for an explicit count.
     pub fn new(device: &'a Device, model: &'a dyn LatencyModel) -> Self {
-        // Backend-less compilers still get an identity: the device encoding
-        // plus the model name, so two compilers that could disagree on a
-        // latency never share cache keys downstream.
-        let mut fingerprint = Vec::with_capacity(64);
-        device.encode_into(&mut fingerprint);
-        fingerprint.extend_from_slice(model.name().as_bytes());
         Self {
             device,
             model,
             pool: ThreadPool::with_default_parallelism(),
-            fingerprint,
-        }
-    }
-
-    /// Creates a compiler targeting one named [`Backend`] of a fleet: its
-    /// device, its latency model, and its injective fingerprint (which every
-    /// [`PassContext`] of this compiler carries, keeping shared caches
-    /// collision-free across backends).
-    pub fn for_backend(backend: &'a Backend) -> Self {
-        Self {
-            device: backend.device(),
-            model: backend.model(),
-            pool: ThreadPool::with_default_parallelism(),
-            fingerprint: backend.fingerprint().to_vec(),
         }
     }
 
@@ -406,23 +386,9 @@ impl<'a> Compiler<'a> {
         self
     }
 
-    /// Overrides the compiler's identity bytes — used by owning front doors
-    /// (e.g. a backend-built `CompileService`) whose borrowing compilers must
-    /// carry the owner's backend fingerprint, not a re-derived one.
-    pub(crate) fn with_fingerprint(mut self, fingerprint: Vec<u8>) -> Self {
-        self.fingerprint = fingerprint;
-        self
-    }
-
     /// The device the compiler targets.
     pub fn device(&self) -> &Device {
         self.device
-    }
-
-    /// Identity bytes of the compilation target (the backend fingerprint, or
-    /// a device-plus-model-derived stand-in for backend-less compilers).
-    pub fn fingerprint(&self) -> &[u8] {
-        &self.fingerprint
     }
 
     /// Compiles `circuit` with the given options by driving the strategy's
@@ -486,8 +452,7 @@ impl<'a> Compiler<'a> {
         circuit: &Circuit,
         options: &CompilerOptions,
     ) -> Result<CompilationResult, CompileError> {
-        let ctx = PassContext::new(circuit, self.device, self.model, options, self.pool)
-            .with_backend_fingerprint(&self.fingerprint);
+        let ctx = PassContext::new(circuit, self.device, self.model, options, self.pool);
         let state = pipeline.run(&ctx)?;
         finish(state, options.strategy, circuit.n_qubits())
     }
@@ -502,16 +467,23 @@ impl<'a> Compiler<'a> {
     /// its own state, the models are deterministic, and the shared latency
     /// cache is compute-once per key, so a batch warms the cache exactly as
     /// the same circuits compiled one by one would. Per-circuit failures
-    /// surface in that circuit's slot without affecting the rest.
+    /// surface in that circuit's slot without affecting the rest; a panic
+    /// inside one circuit's compile fails that slot with
+    /// [`CompileError::Panicked`].
     pub fn compile_batch(
         &self,
         circuits: &[Circuit],
         options: &CompilerOptions,
     ) -> Vec<Result<CompilationResult, CompileError>> {
-        self.warm_latency_cache(circuits, options);
+        // A panic while warming is dropped: the circuit that triggers it
+        // panics again in its own compile, which fails its slot alone.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.warm_latency_cache(circuits, options)
+        }));
         let inner = self.split(circuits.len());
-        self.pool
-            .parallel_map(circuits, |circuit| inner.try_compile(circuit, options))
+        self.pool.parallel_map(circuits, |circuit| {
+            catch_panic(|| inner.try_compile(circuit, options))
+        })
     }
 
     /// A compiler over the same target with the thread budget split `ways`
@@ -523,7 +495,6 @@ impl<'a> Compiler<'a> {
             device: self.device,
             model: self.model,
             pool: ThreadPool::new(self.pool.threads() / ways.max(1)),
-            fingerprint: self.fingerprint.clone(),
         }
     }
 
@@ -561,8 +532,7 @@ impl<'a> Compiler<'a> {
                     self.model,
                     options,
                     ThreadPool::serial(),
-                )
-                .with_backend_fingerprint(&self.fingerprint);
+                );
                 prefix.run(&ctx).map(|state| state.instructions).ok()
             })
             .into_iter()

@@ -4,10 +4,8 @@
 //!
 //! Streaming (async-style) serving — bounded admission queue, priorities,
 //! deadlines, per-pass progress — lives in the [`queue`] submodule and is
-//! entered through [`CompileService::serve`]. Multi-backend dispatch across a
-//! heterogeneous fleet lives in the [`fleet`] submodule.
+//! entered through [`CompileService::serve`].
 
-pub mod fleet;
 pub mod queue;
 
 use crate::partition::PartitionOptions;
@@ -15,7 +13,7 @@ use crate::passes::CompileError;
 use crate::persist::{self, COMPILE_SNAPSHOT_KIND};
 use crate::pipeline::{CompilationResult, Compiler, CompilerOptions};
 use qcc_hw::persist::{fnv64, hex16, SnapshotWriter, SNAPSHOT_EXTENSION};
-use qcc_hw::{Backend, CalibratedLatencyModel, ControlLimits, Device, LatencyModel, PersistError};
+use qcc_hw::{CalibratedLatencyModel, ControlLimits, Device, LatencyModel, PersistError};
 use qcc_ir::{ByteCursor, Circuit, DecodeError};
 use queue::{ServeConfig, ServeHandle};
 use std::collections::{HashMap, VecDeque};
@@ -39,7 +37,7 @@ const SHCT_MAX: u8 = 7;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
     /// Signature-based Hit Predictor (SHiP-style) insertion: each request
-    /// signature — the FNV-1a hash of the (backend fingerprint, circuit,
+    /// signature — the FNV-1a hash of the (service fingerprint, circuit,
     /// strategy, aggregation options) cache key — has a saturating reuse
     /// counter, trained by observed outcomes (hit ⇒ increment, evicted
     /// without reuse ⇒ decrement). New entries whose signature has never
@@ -119,7 +117,7 @@ struct CacheEntry {
 }
 
 /// A bounded cache of compilation results keyed by the request fingerprint
-/// (backend identity + circuit byte encoding + strategy recipe + aggregation
+/// (service identity + circuit byte encoding + strategy recipe + aggregation
 /// options). Compilation is deterministic, so serving a cached clone is
 /// indistinguishable from recompiling — repeated batch traffic skips the
 /// whole pipeline.
@@ -322,21 +320,20 @@ impl CompileCache {
     }
 }
 
-/// Injective fingerprint of one compile request: the identity of the backend
-/// answering it (`backend` — length-prefixed so the key stream stays
-/// prefix-free), the circuit's byte encoding, and every option that can
-/// change the output (strategy recipe, aggregation limits). A fleet of
-/// backends sharing one process therefore never cross-reads compile-cache
-/// entries: the same circuit on two backends is two keys.
+/// Injective fingerprint of one compile request: the identity of the service
+/// answering it (`target` — device encoding plus model name, length-prefixed
+/// so the key stream stays prefix-free), the circuit's byte encoding, and
+/// every option that can change the output (strategy recipe, aggregation
+/// limits). The same circuit on two targets is therefore two keys.
 fn request_fingerprint(
-    backend: &[u8],
+    target: &[u8],
     circuit: &Circuit,
     options: &CompilerOptions,
     partition: Option<&PartitionOptions>,
 ) -> Vec<u8> {
-    let mut key = Vec::with_capacity(backend.len() + circuit.len() * 20 + 72);
-    key.extend_from_slice(&(backend.len() as u64).to_le_bytes());
-    key.extend_from_slice(backend);
+    let mut key = Vec::with_capacity(target.len() + circuit.len() * 20 + 72);
+    key.extend_from_slice(&(target.len() as u64).to_le_bytes());
+    key.extend_from_slice(target);
     key.extend_from_slice(&(circuit.n_qubits() as u64).to_le_bytes());
     for inst in circuit.instructions() {
         inst.encode_into(&mut key);
@@ -405,8 +402,9 @@ pub struct CompileService<'d> {
     pool: ThreadPool,
     cache: CompileCache,
     counters: ServiceCounters,
-    /// Identity bytes of the compilation target, prefixed to every compile
-    /// cache key (a fleet of backend services never cross-reads entries).
+    /// Identity bytes of the compilation target (device encoding plus model
+    /// name), prefixed to every compile-cache key and naming the result
+    /// snapshot file.
     fingerprint: Vec<u8>,
 }
 
@@ -421,8 +419,7 @@ impl<'d> CompileService<'d> {
     /// A service using a caller-supplied latency model (e.g. the GRAPE
     /// optimal-control unit).
     pub fn with_model(device: &'d Device, model: Box<dyn LatencyModel + 'd>) -> Self {
-        // Backend-less services are identified by device encoding + model
-        // name, mirroring `Compiler::new`.
+        // The service is identified by its device encoding + model name.
         let mut fingerprint = Vec::with_capacity(64);
         device.encode_into(&mut fingerprint);
         fingerprint.extend_from_slice(model.name().as_bytes());
@@ -436,25 +433,7 @@ impl<'d> CompileService<'d> {
         }
     }
 
-    /// A service compiling for one named [`Backend`] of a fleet: the
-    /// backend's device and (shared) latency model, with the backend's
-    /// injective fingerprint prefixed to every cache key — the per-lane
-    /// engine behind [`Fleet`](crate::Fleet).
-    pub fn for_backend(backend: &'d Backend) -> Self {
-        Self {
-            device: backend.device(),
-            // `&'d dyn LatencyModel` forwards the whole trait (including
-            // pricing instrumentation), so the backend's Arc stays the one
-            // shared model instance.
-            model: Box::new(backend.model()),
-            pool: ThreadPool::with_default_parallelism(),
-            cache: CompileCache::new(DEFAULT_COMPILE_CACHE_CAPACITY, CachePolicy::default()),
-            counters: ServiceCounters::default(),
-            fingerprint: backend.fingerprint().to_vec(),
-        }
-    }
-
-    /// The cache key of one request against this service's target: backend
+    /// The cache key of one request against this service's target: service
     /// fingerprint + circuit encoding + options (see [`request_fingerprint`]).
     pub(crate) fn request_key(&self, circuit: &Circuit, options: &CompilerOptions) -> Vec<u8> {
         request_fingerprint(&self.fingerprint, circuit, options, None)
@@ -490,12 +469,12 @@ impl<'d> CompileService<'d> {
     }
 
     /// The fingerprint namespace of this service's persistent result cache:
-    /// the compile-key fingerprint (backend identity) extended with the
-    /// latency model's own solver fingerprint when it has a persistent cache.
-    /// The extension matters: two services can share a device and model
-    /// *name* (hence identical compile-cache key prefixes) while running
-    /// differently-configured solvers — their result snapshots must not
-    /// interchange.
+    /// the compile-key fingerprint (device and model identity) extended with
+    /// the latency model's own solver fingerprint when it has a persistent
+    /// cache. The extension matters: two services can share a device and
+    /// model *name* (hence identical compile-cache key prefixes) while
+    /// running differently-configured solvers — their result snapshots must
+    /// not interchange.
     fn persist_namespace(&self) -> Vec<u8> {
         let mut namespace = self.fingerprint.clone();
         if let Some(pc) = self.model.persistent_cache() {
@@ -506,8 +485,8 @@ impl<'d> CompileService<'d> {
 
     /// File name of one cache's snapshot inside a snapshot directory:
     /// `<kind>-<hex16(fnv64(namespace))>.qccsnap`. The hash keeps distinct
-    /// backends (and distinct solver configurations) in distinct files, so a
-    /// fleet can share one directory.
+    /// targets (and distinct solver configurations) in distinct files, so
+    /// several services can share one directory.
     fn snapshot_file(dir: &Path, kind: &str, namespace: &[u8]) -> PathBuf {
         dir.join(format!(
             "{kind}-{}.{SNAPSHOT_EXTENSION}",
@@ -557,7 +536,7 @@ impl<'d> CompileService<'d> {
 
     /// Warm-starts this service's caches from snapshots in `dir`, strictly:
     /// present-but-bad files (corrupt, truncated, foreign format version,
-    /// or written under a different backend/calibration fingerprint) are
+    /// or written under a different device/calibration fingerprint) are
     /// rejected with a [`PersistError`] naming the mismatch. *Missing* files
     /// are not an error — they are an ordinary cold start and contribute
     /// zero records. Returns the number of records loaded. Loaded results
@@ -642,9 +621,7 @@ impl<'d> CompileService<'d> {
     /// for APIs the service does not mirror (custom pipelines via
     /// [`Compiler::run_pipeline`], strategy comparisons).
     pub fn compiler(&self) -> Compiler<'_> {
-        Compiler::new(self.device, self.model.as_ref())
-            .with_threads(self.pool.threads())
-            .with_fingerprint(self.fingerprint.clone())
+        Compiler::new(self.device, self.model.as_ref()).with_threads(self.pool.threads())
     }
 
     /// Compiles one circuit, serving a cached result when the identical
@@ -852,6 +829,21 @@ mod tests {
         c.push(Gate::Rz(0.5), &[1]);
         c.push(Gate::Cnot, &[0, 1]);
         c
+    }
+
+    #[test]
+    fn result_snapshot_file_names_are_stable() {
+        // Golden name: the result-snapshot namespace is the service
+        // fingerprint (device encoding + model name), and snapshots written
+        // by earlier builds are found under this name. A change here strands
+        // every existing snapshot: revert it, or bump
+        // `qcc_hw::persist::FORMAT_VERSION` deliberately.
+        let device = Device::transmon_line(3);
+        let dir = Path::new("snapshots");
+        assert_eq!(
+            CompileService::new(&device).result_snapshot_path(dir),
+            dir.join("compile-result-cache-e092319c4185f950.qccsnap")
+        );
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //! coupling), so backpressure can never deadlock the worker set. Passes are
 //! executed through the same [`Pipeline::run_pass`] as the serial driver,
 //! which makes staged output **bit-identical** to [`Compiler::try_compile`]
-//! for every strategy — pinned by `tests/staged_service.rs`.
+//! for every strategy — pinned by `tests/staged_service.rs`. A pass or model
+//! that panics fails only its own request, with [`CompileError::Panicked`];
+//! the worker keeps serving.
 //!
 //! Results served from the service's compile cache complete at submit time
 //! without occupying queue capacity. Session telemetry (submitted, completed,
@@ -69,7 +71,7 @@
 //! assert!(result.unwrap().total_latency_ns > 0.0);
 //! ```
 
-use crate::passes::{CompileError, PassContext, PassState, Pipeline};
+use crate::passes::{catch_panic, CompileError, PassContext, PassState, Pipeline};
 use crate::pipeline::{finish, CompilationResult, CompilerOptions};
 use crate::service::CompileService;
 use qcc_ir::Circuit;
@@ -166,7 +168,8 @@ pub enum ServiceError {
     /// The request's deadline lapsed before its pipeline finished; remaining
     /// passes were cancelled.
     DeadlineExpired,
-    /// The compilation itself failed.
+    /// The compilation itself failed — a panicking pass or model included,
+    /// as [`CompileError::Panicked`].
     Compile(CompileError),
 }
 
@@ -554,9 +557,11 @@ fn advance(service: &CompileService<'_>, engine: &Engine, mut job: Job) {
             service.model.as_ref(),
             &job.options,
             ThreadPool::serial(),
-        )
-        .with_backend_fingerprint(&service.fingerprint);
-        if let Err(e) = job.pipeline.run_pass(job.cursor, &mut job.state, &ctx) {
+        );
+        // A panicking pass or model fails this ticket only; the worker lives
+        // on to serve the rest of the session.
+        let ran = catch_panic(|| job.pipeline.run_pass(job.cursor, &mut job.state, &ctx));
+        if let Err(e) = ran {
             service.counters.completed.fetch_add(1, Ordering::Relaxed);
             let mut st = engine.state.lock().expect("serve engine poisoned");
             engine.complete(&mut st, job.ticket, Err(ServiceError::Compile(e)));

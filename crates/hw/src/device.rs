@@ -75,9 +75,9 @@ impl ControlLimits {
 
     /// These limits with both drive amplitudes scaled by `factor` — the
     /// one-knob way to model a faster (`factor > 1`) or slower (`factor < 1`)
-    /// calibration of the same platform when assembling a heterogeneous
-    /// fleet. Overheads and discretization are left untouched: they are
-    /// properties of the control electronics, not of the drive strength.
+    /// calibration of the same platform. Overheads and discretization are
+    /// left untouched: they are properties of the control electronics, not of
+    /// the drive strength.
     ///
     /// # Panics
     ///
@@ -96,7 +96,7 @@ impl ControlLimits {
 
     /// Appends an injective byte encoding of these limits (the raw
     /// `f64::to_bits` patterns of every field) to `out` — the limits' part of
-    /// a backend fingerprint. Limits differing in any bit encode differently.
+    /// a device fingerprint. Limits differing in any bit encode differently.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         for v in [
             self.two_qubit_max_ghz,
@@ -136,9 +136,8 @@ pub struct Device {
 
 impl Device {
     /// A superconducting transmon device with XY coupling on the given
-    /// topology and explicit control limits — the constructor heterogeneous
-    /// fleets are built from (every calibration is spelled out, nothing is
-    /// implicitly the paper's).
+    /// topology and explicit control limits (every calibration is spelled
+    /// out, nothing is implicitly the paper's).
     pub fn transmon_with(topology: Topology, limits: ControlLimits) -> Self {
         Self {
             topology,
@@ -163,8 +162,8 @@ impl Device {
     ///
     /// **Deprecated by doc**: hardcodes [`ControlLimits::asplos19`]; prefer
     /// [`transmon_with`](Self::transmon_with) with
-    /// [`Topology::near_square_grid`] so heterogeneous fleets never
-    /// copy-paste a device just to change its limits.
+    /// [`Topology::near_square_grid`] rather than copy-pasting a device just
+    /// to change its limits.
     pub fn transmon_grid(n: usize) -> Self {
         Self::transmon(Topology::near_square_grid(n))
     }
@@ -184,7 +183,7 @@ impl Device {
 
     /// Appends an injective byte encoding of the device — topology variant
     /// and dimensions, interaction class, control limits — to `out`. This is
-    /// the device's contribution to a backend fingerprint: two devices that
+    /// the device's part of a compile service's fingerprint: two devices that
     /// could price or route any circuit differently encode differently.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match &self.topology {

@@ -21,13 +21,11 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod device;
 pub mod latency;
 pub mod persist;
 pub mod topology;
 
-pub use backend::Backend;
 pub use device::{ControlLimits, Device, InteractionType};
 pub use latency::{
     interaction_area, CalibratedLatencyModel, GateTimeTable, LatencyModel, PricingStats,

@@ -10,7 +10,7 @@
 //! format version   u32
 //! kind length      u32       } what kind of cache this is,
 //! kind bytes       ..        } e.g. "grape-latency-cache"
-//! fingerprint len  u64       } namespace: the writer's backend/solver
+//! fingerprint len  u64       } namespace: the writer's device/solver
 //! fingerprint      ..        } fingerprint bytes — loads must match exactly
 //! header checksum  u64       FNV-1a 64 over every header byte above
 //! record count     u64
@@ -85,7 +85,7 @@ pub enum PersistError {
         found: String,
     },
     /// The file was written under a different fingerprint namespace — e.g. a
-    /// different device calibration, solver configuration, or backend — and
+    /// different device, device calibration, or solver configuration — and
     /// its contents would be wrong to reuse.
     FingerprintMismatch {
         /// Fingerprint the reader derived from its live configuration.
@@ -381,7 +381,7 @@ pub trait PersistentCache {
 
     /// The fingerprint namespace — a byte string that changes whenever reusing
     /// the cached values would be incorrect (device calibration, solver
-    /// configuration, backend identity).
+    /// configuration, device identity).
     fn snapshot_fingerprint(&self) -> Vec<u8>;
 
     /// Serializes the current cache state to `path` atomically. Returns the

@@ -1,6 +1,6 @@
 //! Byte-stream decoding for the workspace's injective encodings.
 //!
-//! Cache keys, backend fingerprints, and (since the persistent cache tier)
+//! Cache keys, service fingerprints, and (since the persistent cache tier)
 //! on-disk snapshot records are all built from the `encode_into` family of
 //! byte encodings: little-endian integers, raw `f64::to_bits` patterns, and
 //! length-prefixed sequences. [`ByteCursor`] is the shared reader those

@@ -1,18 +1,18 @@
 //! Quick start: compile the paper's worked QAOA example (§3.1 / Fig. 4) with
 //! every strategy through the serving front door, stream the per-pass
 //! progress of the full flow, show where the GRAPE solves land in the
-//! per-pass timing breakdown, cut a wide circuit into regions compiled in
-//! parallel, and dispatch a request mix across a heterogeneous backend fleet.
+//! per-pass timing breakdown, and cut a wide circuit into regions compiled in
+//! parallel.
 //!
 //! Run with `cargo run --release --example quickstart`.
 
 use qcc::compiler::{
-    AggregationOptions, CompileService, CompilerOptions, Fleet, PartitionOptions, PassProgress,
+    AggregationOptions, CompileService, CompilerOptions, PartitionOptions, PassProgress,
     ServeConfig, Strategy, SubmitOptions,
 };
 use qcc::control::GrapeLatencyModel;
-use qcc::hw::{Backend, ControlLimits, Device, Topology};
-use qcc::workloads::{ising, qaoa};
+use qcc::hw::Device;
+use qcc::workloads::qaoa;
 use threadpool::mpmc;
 
 fn main() {
@@ -202,59 +202,4 @@ fn main() {
         whole.total_latency_ns,
         part.total_latency_ns / whole.total_latency_ns,
     );
-
-    // A heterogeneous fleet: the cost-model router prices each request on
-    // every backend (ISA pricing over the routed circuit) and dispatches to
-    // the lowest estimated latency + backlog, scaled by capacity weight.
-    let limits = ControlLimits::asplos19();
-    let backends = vec![
-        Backend::calibrated("line-6", Device::transmon_line(6)),
-        Backend::calibrated(
-            "grid-6-fast",
-            Device::transmon_with(Topology::near_square_grid(6), limits.scaled_drives(1.25)),
-        ),
-        Backend::calibrated(
-            "wide-8",
-            Device::transmon_with(Topology::AllToAll(8), limits),
-        )
-        .with_capacity_weight(2.0),
-    ];
-    let mut fleet = Fleet::new(&backends);
-    let mix = [
-        ising::ising_chain(4),
-        qaoa::maxcut_line(6),
-        ising::ising_chain(6),
-        qaoa::maxcut_reg4(6, 7),
-        ising::ising_chain(5),
-    ];
-    let full_flow = CompilerOptions::strategy(Strategy::ClsAggregation);
-    let tickets: Vec<_> = mix.iter().map(|c| fleet.submit(c, &full_flow)).collect();
-    fleet.run();
-    println!("\nFleet dispatch of {} requests:", mix.len());
-    for decision in fleet.routing_log() {
-        let quotes: Vec<String> = decision
-            .candidates
-            .iter()
-            .map(|q| format!("{} {:.0}ns", q.backend, q.score))
-            .collect();
-        println!(
-            "  ticket {:?} -> {:<12} (scores: {})",
-            decision.ticket,
-            decision.backend,
-            quotes.join(", ")
-        );
-    }
-    for stats in fleet.stats() {
-        println!(
-            "  {:<12} submitted {:>2}  completed {:>2}  relocated in/out {}/{}",
-            stats.backend,
-            stats.submitted,
-            stats.completed,
-            stats.relocated_in,
-            stats.relocated_out,
-        );
-    }
-    for ticket in tickets {
-        fleet.wait(ticket).expect("fleet devices fit the mix");
-    }
 }

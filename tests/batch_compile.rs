@@ -2,7 +2,10 @@
 //! deterministic under the thread-pool fan-out — batch results at 2, 4 and 8
 //! threads are bit-identical to compiling each circuit serially — and must
 //! share the latency cache so every distinct GRAPE key is solved exactly once
-//! for the whole batch.
+//! for the whole batch. A circuit whose compile panics fails its own slot and
+//! no other.
+
+mod common;
 
 use qcc::compiler::{
     AggregationOptions, CompileError, CompileService, Compiler, CompilerOptions, Strategy,
@@ -134,5 +137,50 @@ fn batch_reports_carry_per_pass_timing() {
             Strategy::ClsAggregation.pipeline().pass_names()
         );
         assert!(r.total_pass_time() > std::time::Duration::ZERO);
+    }
+}
+
+#[test]
+fn a_panicking_compile_fails_only_its_own_batch_slot() {
+    let device = Device::transmon_line(4);
+    let circuits = vec![
+        qaoa::paper_triangle_example(),
+        common::poisoned(&ising::ising_chain(4)),
+        qaoa::maxcut_line(4),
+    ];
+    let options = CompilerOptions::strategy(Strategy::ClsAggregation);
+    let reference_model = CalibratedLatencyModel::new(device.limits);
+    let serial = Compiler::new(&device, &reference_model).with_threads(1);
+    let model = common::PoisonedModel(CalibratedLatencyModel::new(device.limits));
+    for threads in [1, 2] {
+        let via_compiler = Compiler::new(&device, &model)
+            .with_threads(threads)
+            .compile_batch(&circuits, &options);
+        let service = CompileService::with_model(&device, Box::new(&model)).with_threads(threads);
+        let via_service = service.compile_batch(&circuits, &options);
+        let stats = service.compile_cache_stats();
+        assert_eq!((stats.submitted, stats.completed), (3, 3));
+        for (front_door, results) in [("compiler", via_compiler), ("service", via_service)] {
+            assert_eq!(results.len(), circuits.len());
+            match &results[1] {
+                Err(CompileError::Panicked { message }) => {
+                    assert!(message.contains("marker gate"), "{message}")
+                }
+                other => panic!("{front_door} at {threads} threads: {other:?}"),
+            }
+            for i in [0, 2] {
+                let got = results[i].as_ref().expect("healthy slot compiles");
+                let want = serial.try_compile(&circuits[i], &options).unwrap();
+                assert_eq!(
+                    got.total_latency_ns.to_bits(),
+                    want.total_latency_ns.to_bits(),
+                    "{front_door} at {threads} threads: slot {i} drifted from its serial compile"
+                );
+                assert_eq!(got.instructions, want.instructions);
+                for (a, b) in got.latencies.iter().zip(&want.latencies) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{front_door}: slot {i}");
+                }
+            }
+        }
     }
 }

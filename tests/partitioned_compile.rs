@@ -4,16 +4,16 @@
 //! the constituent-gate multiset — and, without a post-aggregation reordering
 //! pass, the per-qubit gate order — while `ClsAggregation` stays semantically
 //! equivalent under the simulator with a bounded makespan. GRAPE solves stay
-//! exactly-once across concurrent region compiles, partitioned requests get
-//! their own compile-cache keys, and a fleet fan-out conserves every gate.
+//! exactly-once across concurrent region compiles, and partitioned requests
+//! get their own compile-cache keys.
 
 use proptest::prelude::*;
 use qcc::compiler::{
     persist, verify_compilation, CompilationResult, CompileService, Compiler, CompilerOptions,
-    Fleet, FleetSubmitOptions, PartitionOptions, Strategy,
+    PartitionOptions, Strategy,
 };
 use qcc::control::GrapeLatencyModel;
-use qcc::hw::{Backend, CalibratedLatencyModel, Device};
+use qcc::hw::{CalibratedLatencyModel, Device};
 use qcc::ir::{Circuit, Gate, Instruction};
 use qcc::workloads::{ising, qaoa};
 use std::collections::HashMap;
@@ -285,50 +285,6 @@ fn service_counts_and_caches_partitioned_requests_under_their_own_keys() {
     assert_eq!(stats.misses, 2, "partitioned and whole keys are distinct");
     assert_eq!(stats.submitted, 3);
     assert_eq!(stats.completed, 3);
-}
-
-#[test]
-fn fleet_partitioned_submission_fans_out_and_conserves_gates() {
-    let backends = vec![
-        Backend::calibrated("east", Device::transmon_grid(6)),
-        Backend::calibrated("west", Device::transmon_grid(6)),
-    ];
-    let mut fleet = Fleet::new(&backends);
-    let circuit = qaoa::maxcut_reg4(8, 11);
-    let options = CompilerOptions::strategy(Strategy::Cls);
-    let submission = fleet.submit_partitioned(
-        &circuit,
-        &options,
-        &PartitionOptions::new(2),
-        FleetSubmitOptions::default(),
-    );
-    assert_eq!(submission.tickets.len(), submission.regions.len());
-    assert!(submission.regions.len() >= 2, "wide circuit fans out");
-    // Conservation: every flattened gate lands in exactly one region
-    // sub-circuit or the explicit cut set.
-    let flattened: usize = qcc::compiler::frontend::lower(&circuit)
-        .iter()
-        .map(|i| i.constituents.len())
-        .sum();
-    let region_gates: usize = submission.regions.iter().map(|r| r.circuit.len()).sum();
-    assert_eq!(region_gates + submission.cut.len(), flattened);
-    assert!(submission.cut_weight > 0.0, "reg4 cannot split losslessly");
-    // Every region compiles on some backend — and fits devices the whole
-    // 8-qubit circuit would overflow.
-    for (ticket, region) in submission.tickets.iter().zip(&submission.regions) {
-        assert!(region.circuit.n_qubits() <= 6);
-        let result = fleet.wait(*ticket).expect("region compile succeeds");
-        assert_eq!(
-            result
-                .instructions
-                .iter()
-                .map(|i| i.gate_count())
-                .sum::<usize>()
-                - result.swap_count,
-            region.circuit.len(),
-            "region program carries exactly its gates (plus routing SWAPs)"
-        );
-    }
 }
 
 proptest! {

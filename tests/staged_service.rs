@@ -2,12 +2,14 @@
 //! bit-identical to the serial compiler for every strategy and worker count,
 //! enforce backpressure (`QueueFull`) on a bounded admission queue, cancel
 //! deadline-expired requests between passes, admit interactive requests ahead
-//! of batch ones, stream per-pass progress, and keep GRAPE solves
-//! exactly-once across a serving session.
+//! of batch ones, stream per-pass progress, keep GRAPE solves exactly-once
+//! across a serving session, and fail only the request whose model panics.
+
+mod common;
 
 use qcc::compiler::{
-    AggregationOptions, CompileService, Compiler, CompilerOptions, PassProgress, Priority,
-    ServeConfig, ServiceError, Strategy, SubmitOptions, DEFAULT_STAGE_CAPACITY,
+    AggregationOptions, CompileError, CompileService, Compiler, CompilerOptions, PassProgress,
+    Priority, ServeConfig, ServiceError, Strategy, SubmitOptions, DEFAULT_STAGE_CAPACITY,
 };
 use qcc::control::GrapeLatencyModel;
 use qcc::hw::{CalibratedLatencyModel, Device};
@@ -301,4 +303,64 @@ fn service_batch_counts_every_request_including_cache_hits() {
     let stats = service.compile_cache_stats();
     assert_eq!(stats.submitted, 2 * circuits.len());
     assert_eq!(stats.completed, 2 * circuits.len());
+}
+
+#[test]
+fn a_panicking_model_fails_its_ticket_and_the_worker_keeps_serving() {
+    let options = CompilerOptions::strategy(Strategy::ClsAggregation);
+    let healthy = qaoa::maxcut_line(4);
+    let poisoned = common::poisoned(&ising::ising_chain(4));
+    // The session runs on its own thread so a hang fails this test at the
+    // timeout instead of stalling the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let session = {
+        let healthy = healthy.clone();
+        let options = options.clone();
+        std::thread::spawn(move || {
+            let device = Device::transmon_line(4);
+            let model = common::PoisonedModel(CalibratedLatencyModel::new(device.limits));
+            let service =
+                CompileService::with_model(&device, Box::new(model)).with_compile_cache(0);
+            let config = ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            };
+            let outcomes = service.serve(config, |handle| {
+                let bad = handle
+                    .submit(&poisoned, &options, SubmitOptions::default())
+                    .expect("queue has room");
+                let good = handle
+                    .submit(&healthy, &options, SubmitOptions::default())
+                    .expect("queue has room");
+                (handle.wait(bad), handle.wait(good))
+            });
+            let _ = tx.send((outcomes, service.compile_cache_stats()));
+        })
+    };
+    let ((bad, good), stats) = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the serving session hung after a model panic");
+    session.join().expect("session thread finished");
+    match bad {
+        Err(ServiceError::Compile(CompileError::Panicked { message })) => {
+            assert!(message.contains("marker gate"), "{message}")
+        }
+        other => panic!("expected a panicked compile, got {other:?}"),
+    }
+    let device = Device::transmon_line(4);
+    let model = CalibratedLatencyModel::new(device.limits);
+    let reference = Compiler::new(&device, &model)
+        .with_threads(1)
+        .try_compile(&healthy, &options)
+        .unwrap();
+    let good = good.expect("the healthy request compiles after the panic");
+    assert_eq!(
+        good.total_latency_ns.to_bits(),
+        reference.total_latency_ns.to_bits()
+    );
+    assert_eq!(good.instructions, reference.instructions);
+    for (a, b) in good.latencies.iter().zip(&reference.latencies) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    assert_eq!((stats.submitted, stats.completed), (2, 2));
 }
