@@ -9,6 +9,48 @@
 //! or its calibrated stand-in) until no more profitable monotonic actions
 //! exist, the fixed-point structure the paper describes.
 //!
+//! # Incremental merge checks
+//!
+//! A scan pass checks candidates far more often than it commits one (on
+//! paper-scale circuits about four in five checks reject), so a check costs
+//! about as much as what the merge would change, never a full reschedule:
+//!
+//! * **Stable keys.** Instructions are addressed by their input index. A merge
+//!   of `j` into `i` replaces `i` and drops `j`, so the live keys in ascending
+//!   order are the program order. An order vector of live keys gives
+//!   positions (scan position, search window), and each qubit keeps the sorted
+//!   list of live keys touching it, answering previous- and next-user queries
+//!   by binary search. The stream is edited only when a merge is accepted.
+//! * **The exact check is a forward scan from `i`.** The merged instruction
+//!   starts at the latest free time of its qubits before `i` (nothing between
+//!   `i` and `j` touches them). From `j` on, the scan runs the ASAP recurrence
+//!   over the tentative stream (merged instruction at `i`, `j` dropped) and
+//!   tracks the qubits whose free time differs from the old stream's. It
+//!   rejects as soon as a finish passes `makespan + 1e-9`, and accepts once
+//!   that set is empty: every later instruction then schedules as before. The
+//!   scan applies the same `max` and `+` to the same inputs as
+//!   [`asap_schedule`], so every value equals the full recompute bit for bit.
+//! * **Early rejection.** Take any instruction `k` after `j`. Its tail, the
+//!   longest path from `k` to the end, is unchanged by the merge: paths only
+//!   run forward, and nothing between `i` and `j` touches `j`'s qubits, so no
+//!   path from `k` meets `i` or `j`. In exact arithmetic, a new start later
+//!   than `k`'s ALAP latest start therefore lengthens the circuit. In floating
+//!   point each ASAP or ALAP recurrence over `n` live instructions rounds by
+//!   at most `n·2⁻⁵³·makespan` (`max` and `min` are exact), and the argument
+//!   crosses three of them. The scan rejects early only when the excess is
+//!   above `1e-9 + 16·n·ε·makespan` (ε = `f64::EPSILON` = 2⁻⁵²); nearer ties
+//!   fall through to the exact scan.
+//! * **Latest starts are refreshed only where they are read.** The slack
+//!   filter and the early rejection read them only at positions after the
+//!   scan position, and a slack is computed on read from latest start and
+//!   start. A commit that changes the makespan recomputes latest starts for
+//!   positions `≥ i`. Any other commit leaves them exact after `i`, because
+//!   the backward recurrence from the end down to `i` sees the same
+//!   instructions and deadlines; only the starts the scan moved change. Each
+//!   scan pass starts with a full refresh.
+//!
+//! # Speculative pricing
+//!
 //! The merge loop commits actions strictly in scan order — each action depends
 //! on the schedule produced by the previous one — but the expensive part of a
 //! step is *pricing* a candidate with the latency model, and candidate pricing
@@ -24,7 +66,7 @@
 //! where later rounds usually reuse them.
 
 use crate::instr::{AggregateInstruction, InstructionOrigin};
-use crate::schedule::{alap_slacks, asap_schedule, Schedule};
+use crate::schedule::asap_schedule;
 use qcc_hw::LatencyModel;
 use qcc_ir::Instruction;
 use serde::{Deserialize, Serialize};
@@ -104,7 +146,8 @@ pub struct AggregationStats {
 /// * the union width and gate count respect the configured limits,
 ///
 /// and it is performed when it is *monotonic* (§4.3): the rescheduled circuit
-/// is no longer than before, verified exactly by recomputing the makespan.
+/// is no longer than before, decided exactly by the incremental forward scan
+/// of the module docs (bit-identical to recomputing the makespan).
 pub fn run(
     instrs: &[AggregateInstruction],
     model: &dyn LatencyModel,
@@ -132,26 +175,18 @@ pub fn run_with_pool(
     options: &AggregationOptions,
     pool: &ThreadPool,
 ) -> (Vec<AggregateInstruction>, AggregationStats) {
-    let current: Vec<AggregateInstruction> = instrs.to_vec();
     // Latencies are maintained incrementally: only the instruction produced by
     // a merge is re-priced, so the model is queried O(instructions + merges)
     // times rather than O(instructions · merges).
     let latencies: Vec<f64> = {
         let queries: Vec<&[Instruction]> =
-            current.iter().map(|i| i.constituents.as_slice()).collect();
+            instrs.iter().map(|i| i.constituents.as_slice()).collect();
         model.aggregate_latency_batch(&queries, pool)
     };
-    let schedule = asap_schedule(&current, &latencies);
-    let slacks = alap_slacks(&current, &latencies, &schedule);
+    let mut state = SearchState::new(instrs, latencies);
     let mut stats = AggregationStats {
-        makespan_before: schedule.makespan,
+        makespan_before: state.makespan,
         ..Default::default()
-    };
-    let mut state = SearchState {
-        current,
-        latencies,
-        schedule,
-        slacks,
     };
 
     // Speculation only pays when a pricing query is expensive enough to fan
@@ -165,138 +200,430 @@ pub fn run_with_pool(
         merge_loop_speculative(&mut state, model, options, pool, &mut stats);
     }
 
-    stats.makespan_after = state.schedule.makespan;
-    (state.current, stats)
+    stats.makespan_after = state.makespan;
+    (state.into_stream(), stats)
 }
 
-/// Mutable state of the merge search: the instruction stream, its prices, and
-/// the schedule artifacts the accept/reject checks consult. Frozen between
-/// commits — which is what makes speculative pricing safe.
+/// Per-qubit scratch of one exact check: the qubit's free time in the
+/// tentative stream, valid when `epoch` is the current check's, and whether
+/// it differs from the old stream's free time at the same point.
+#[derive(Debug, Clone, Copy, Default)]
+struct ScanQubit {
+    free: f64,
+    epoch: u64,
+    differs: bool,
+}
+
+/// The schedule record of one key.
+#[derive(Debug, Clone, Copy, Default)]
+struct Node {
+    /// ASAP start in the current stream (0 once dead).
+    start: f64,
+    /// Price (0 once dead).
+    lat: f64,
+    /// ALAP latest start; exact at positions after the last commit of the
+    /// running pass.
+    latest: f64,
+    /// The key's sorted qubits are `qubits[first..first + width]`.
+    first: u32,
+    width: u32,
+}
+
+impl Node {
+    fn finish(&self) -> f64 {
+        self.start + self.lat
+    }
+}
+
+/// What an accepted exact check hands to [`SearchState::commit`].
+struct Accepted {
+    /// Start of the merged instruction.
+    start: f64,
+    /// Latest finish among the instructions whose start moved (the merged
+    /// one included).
+    moved_max: f64,
+    /// Whether an instruction that ended at the old makespan moved or
+    /// vanished.
+    moved_makespan: bool,
+}
+
+/// Mutable state of the merge search, addressed by stable keys (input
+/// indices; see the module docs). Frozen between commits — which is what
+/// makes speculative pricing safe.
 struct SearchState {
-    current: Vec<AggregateInstruction>,
-    latencies: Vec<f64>,
-    schedule: Schedule,
-    slacks: Vec<f64>,
+    /// Instructions by key; `None` once merged into an earlier one.
+    insts: Vec<Option<AggregateInstruction>>,
+    /// Schedule record of every key.
+    nodes: Vec<Node>,
+    /// Qubit lists of every key, back to back; a merge appends its union.
+    qubits: Vec<u32>,
+    /// Live keys in program order (ascending); a position indexes this.
+    order: Vec<u32>,
+    /// Per qubit: the live keys touching it, ascending.
+    users: Vec<Vec<u32>>,
+    /// Makespan of the current stream.
+    makespan: f64,
+    /// Per-qubit scratch of the exact check and of the ALAP refresh.
+    scan: Vec<ScanQubit>,
+    deadline: Vec<f64>,
+    epoch: u64,
+    /// Starts the running exact check overwrote, to restore on rejection.
+    undo: Vec<(u32, f64)>,
 }
 
-/// The serial scan's merge candidate at position `i`, if any: the first later
-/// instruction within the search window sharing a qubit, provided the merge
-/// passes every model-free legality check (no interposed dependence, width
-/// and gate-count limits). Pure — prices nothing, mutates nothing.
-fn legal_candidate(
-    current: &[AggregateInstruction],
-    i: usize,
-    options: &AggregationOptions,
-) -> Option<(usize, AggregateInstruction)> {
-    let n = current.len();
-    // Partner: the first later instruction sharing a qubit with i, searched
-    // within the window.
-    let mut partner = None;
-    for j in (i + 1)..n.min(i + 1 + options.search_window) {
-        if !current[i].shared_qubits(&current[j]).is_empty() {
-            partner = Some(j);
-            break;
-        }
-    }
-    let j = partner?;
-
-    // No instruction between i and j may touch any qubit of j (they already
-    // touch none of i's qubits, or one of them would have been the partner).
-    let b_qubits = &current[j].qubits;
-    if current[(i + 1)..j]
-        .iter()
-        .any(|k| k.qubits.iter().any(|q| b_qubits.contains(q)))
-    {
-        return None;
-    }
-
-    // Width / size limits.
-    let mut union = current[i].qubits.clone();
-    for q in b_qubits {
-        if !union.contains(q) {
-            union.push(*q);
-        }
-    }
-    if union.len() > options.max_width
-        || current[i].gate_count() + current[j].gate_count() > options.max_gates
-    {
-        return None;
-    }
-
-    Some((j, current[i].merge(&current[j])))
+fn key(k: usize) -> u32 {
+    u32::try_from(k).expect("aggregation addresses at most 2^32 keys or qubits")
 }
 
-/// Replays the serial accept/reject decision for one priced candidate:
-/// local-gain threshold, conservative slack filter, then the exact
-/// reschedule-and-revert monotonicity check. Returns `true` when the merge
-/// was committed (state mutated), `false` when rejected (state untouched).
-fn try_commit(
-    state: &mut SearchState,
-    i: usize,
-    j: usize,
-    merged: AggregateInstruction,
-    lat_merged: f64,
-    options: &AggregationOptions,
-) -> bool {
-    let SearchState {
-        current,
-        latencies,
-        schedule,
-        slacks,
-    } = state;
-    let local_gain = latencies[i] + latencies[j] - lat_merged;
-    if options.require_local_gain && local_gain <= 1e-9 {
-        return false;
-    }
-
-    // Fast conservative filter before paying for an exact reschedule: the
-    // merged instruction runs from i's start for lat_merged; every qubit it
-    // occupies longer than before must have that much slack in its next user.
-    let finish_merged = schedule.entries[i].start + lat_merged;
-    if finish_merged > schedule.makespan + 1e-9 {
-        return false;
-    }
-    for &q in &merged.qubits {
-        let prev_release = if current[j].acts_on(q) {
-            schedule.entries[j].finish()
-        } else {
-            schedule.entries[i].finish()
-        };
-        let delay = finish_merged - prev_release;
-        if delay <= 1e-9 {
-            continue;
-        }
-        let next_user = current
+impl SearchState {
+    fn new(instrs: &[AggregateInstruction], lat: Vec<f64>) -> Self {
+        let n_qubits = instrs
             .iter()
-            .enumerate()
-            .skip(j + 1)
-            .find(|(_, inst)| inst.acts_on(q));
-        if let Some((k, _)) = next_user {
-            if delay > slacks[k] + 1e-9 {
-                return false;
+            .flat_map(|i| i.qubits.iter().copied())
+            .max()
+            .map_or(0, |m| m + 1);
+        let schedule = asap_schedule(instrs, &lat);
+        let mut users = vec![Vec::new(); n_qubits];
+        let mut nodes = Vec::with_capacity(instrs.len());
+        let mut qubits = Vec::new();
+        for (k, inst) in instrs.iter().enumerate() {
+            nodes.push(Node {
+                start: schedule.entries[k].start,
+                lat: lat[k],
+                latest: 0.0,
+                first: key(qubits.len()),
+                width: key(inst.qubits.len()),
+            });
+            for &q in &inst.qubits {
+                qubits.push(key(q));
+                users[q].push(key(k));
+            }
+        }
+        Self {
+            insts: instrs.iter().cloned().map(Some).collect(),
+            nodes,
+            qubits,
+            order: (0..instrs.len()).map(key).collect(),
+            users,
+            makespan: schedule.makespan,
+            scan: vec![ScanQubit::default(); n_qubits],
+            deadline: vec![0.0; n_qubits],
+            epoch: 0,
+            undo: Vec::new(),
+        }
+    }
+
+    /// The live instructions in program order.
+    fn into_stream(self) -> Vec<AggregateInstruction> {
+        self.insts.into_iter().flatten().collect()
+    }
+
+    fn inst(&self, k: usize) -> &AggregateInstruction {
+        self.insts[k].as_ref().expect("live key")
+    }
+
+    fn qubits_of(&self, k: usize) -> &[u32] {
+        let node = &self.nodes[k];
+        &self.qubits[node.first as usize..][..node.width as usize]
+    }
+
+    fn acts_on(&self, k: usize, q: usize) -> bool {
+        self.qubits_of(k).contains(&key(q))
+    }
+
+    /// The last live key before `k` touching qubit `q`.
+    fn prev_user(&self, q: usize, k: usize) -> Option<usize> {
+        let list = &self.users[q];
+        let before = list.partition_point(|&u| (u as usize) < k);
+        before.checked_sub(1).map(|at| list[at] as usize)
+    }
+
+    /// The first live key after `k` touching qubit `q`.
+    fn next_user(&self, q: usize, k: usize) -> Option<usize> {
+        let list = &self.users[q];
+        let after = list.partition_point(|&u| (u as usize) <= k);
+        list.get(after).map(|&u| u as usize)
+    }
+
+    /// Recomputes ALAP latest starts for positions `from..` with the same
+    /// backward recurrence as [`alap_slacks`](crate::schedule::alap_slacks).
+    fn refresh_latest(&mut self, from: usize) {
+        self.deadline.fill(self.makespan);
+        for &k in self.order[from..].iter().rev() {
+            let node = &mut self.nodes[k as usize];
+            let qs = &self.qubits[node.first as usize..][..node.width as usize];
+            let deadline = qs
+                .iter()
+                .map(|&q| self.deadline[q as usize])
+                .fold(f64::INFINITY, f64::min);
+            let latest = deadline - node.lat;
+            node.latest = latest;
+            for &q in qs {
+                self.deadline[q as usize] = latest;
             }
         }
     }
 
-    // Exact monotonicity check: apply the merge in place, recompute the
-    // makespan, and revert when it grew.
-    let saved_i = std::mem::replace(&mut current[i], merged);
-    let saved_j = current.remove(j);
-    let saved_lat_i = latencies[i];
-    let saved_lat_j = latencies.remove(j);
-    latencies[i] = lat_merged;
-    let new_schedule = asap_schedule(current, latencies);
-    if new_schedule.makespan > schedule.makespan + 1e-9 {
-        latencies[i] = saved_lat_i;
-        latencies.insert(j, saved_lat_j);
-        current[i] = saved_i;
-        current.insert(j, saved_j);
-        return false;
+    /// The serial scan's merge candidate at position `p`, if any: the first
+    /// later instruction within the search window sharing a qubit, provided
+    /// the merge passes every model-free legality check (no interposed
+    /// dependence, width and gate-count limits). Returns the partner's
+    /// position and the merged instruction. Prices nothing, mutates nothing.
+    fn legal_candidate(
+        &self,
+        p: usize,
+        options: &AggregationOptions,
+    ) -> Option<(usize, AggregateInstruction)> {
+        let i = self.order[p] as usize;
+        let i_qubits = self.qubits_of(i);
+        // Partner: the first later instruction sharing a qubit with i, taken
+        // only when it lies within the window.
+        let j = i_qubits
+            .iter()
+            .filter_map(|&q| self.next_user(q as usize, i))
+            .min()?;
+        let pj = p + 1 + self.order[p + 1..].partition_point(|&k| (k as usize) < j);
+        if pj - p > options.search_window {
+            return None;
+        }
+
+        // No instruction between i and j may touch any qubit of j (they
+        // already touch none of i's qubits, or one of them would have been
+        // the partner).
+        let j_qubits = self.qubits_of(j);
+        if j_qubits
+            .iter()
+            .any(|&q| self.prev_user(q as usize, j).is_some_and(|prev| prev > i))
+        {
+            return None;
+        }
+
+        // Width / size limits.
+        let width = i_qubits.len() + j_qubits.iter().filter(|q| !i_qubits.contains(q)).count();
+        let (a, b) = (self.inst(i), self.inst(j));
+        if width > options.max_width || a.gate_count() + b.gate_count() > options.max_gates {
+            return None;
+        }
+        Some((pj, a.merge(b)))
     }
 
-    *schedule = new_schedule;
-    *slacks = alap_slacks(current, latencies, schedule);
-    true
+    /// Replays the serial accept/reject decision for one priced candidate:
+    /// local-gain threshold, conservative slack filter, then the exact
+    /// monotonicity check. Returns `true` when the merge was committed (state
+    /// mutated), `false` when rejected (state untouched).
+    fn try_commit(
+        &mut self,
+        pi: usize,
+        pj: usize,
+        merged: AggregateInstruction,
+        lat_merged: f64,
+        options: &AggregationOptions,
+    ) -> bool {
+        let (i, j) = (self.order[pi] as usize, self.order[pj] as usize);
+        let (node_i, node_j) = (self.nodes[i], self.nodes[j]);
+        let local_gain = node_i.lat + node_j.lat - lat_merged;
+        if options.require_local_gain && local_gain <= 1e-9 {
+            return false;
+        }
+
+        // Fast conservative filter before paying for an exact check: the
+        // merged instruction runs from i's start for lat_merged; every qubit it
+        // occupies longer than before must have that much slack in its next
+        // user.
+        let finish_merged = node_i.start + lat_merged;
+        if finish_merged > self.makespan + 1e-9 {
+            return false;
+        }
+        for &q in &merged.qubits {
+            let prev_release = if self.acts_on(j, q) {
+                node_j.finish()
+            } else {
+                node_i.finish()
+            };
+            let delay = finish_merged - prev_release;
+            if delay <= 1e-9 {
+                continue;
+            }
+            if let Some(k) = self.next_user(q, j) {
+                let slack = (self.nodes[k].latest - self.nodes[k].start).max(0.0);
+                if delay > slack + 1e-9 {
+                    return false;
+                }
+            }
+        }
+
+        match self.reschedule(pi, pj, &merged.qubits, lat_merged) {
+            Some(accepted) => {
+                self.commit(pi, pj, merged, lat_merged, accepted);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The exact monotonicity check of merging the instruction at position
+    /// `pj` into the one at `pi`: the forward scan of the module docs over the
+    /// tentative stream. When the makespan stays within `makespan + 1e-9`, it
+    /// leaves the moved starts written and returns what the commit needs;
+    /// when it grows, it restores every start and returns `None`.
+    fn reschedule(
+        &mut self,
+        pi: usize,
+        pj: usize,
+        merged_qubits: &[usize],
+        lat_merged: f64,
+    ) -> Option<Accepted> {
+        let (i, j) = (self.order[pi] as usize, self.order[pj] as usize);
+        let (finish_i, finish_j) = (self.nodes[i].finish(), self.nodes[j].finish());
+        let makespan = self.makespan;
+        let limit = makespan + 1e-9;
+        // Nothing between i and j touches a merged qubit, so the merged
+        // instruction sees the free times before i.
+        let start_merged = merged_qubits
+            .iter()
+            .map(|&q| self.prev_user(q, i).map_or(0.0, |p| self.nodes[p].finish()))
+            .fold(0.0f64, f64::max);
+        let finish_merged = start_merged + lat_merged;
+        if finish_merged > limit {
+            return None;
+        }
+        let mut accepted = Accepted {
+            start: start_merged,
+            moved_max: finish_merged,
+            moved_makespan: finish_i == makespan || finish_j == makespan,
+        };
+        self.epoch += 1;
+        let epoch = self.epoch;
+        let mut differing = 0usize;
+        for &q in merged_qubits {
+            // Past j, the old stream's free time is j's finish on j's qubits
+            // and i's finish on the rest.
+            let old = if self.acts_on(j, q) {
+                finish_j
+            } else {
+                finish_i
+            };
+            let differs = finish_merged != old;
+            differing += differs as usize;
+            self.scan[q] = ScanQubit {
+                free: finish_merged,
+                epoch,
+                differs,
+            };
+        }
+
+        let reject_margin = 1e-9 + 16.0 * self.order.len() as f64 * f64::EPSILON * makespan;
+        let Self {
+            nodes,
+            qubits,
+            order,
+            users,
+            scan,
+            undo,
+            ..
+        } = self;
+        undo.clear();
+        for &k in &order[pj + 1..] {
+            if differing == 0 {
+                break;
+            }
+            let node = nodes[k as usize];
+            let qs = &qubits[node.first as usize..][..node.width as usize];
+            let mut start = 0.0f64;
+            for &q in qs {
+                let s = &mut scan[q as usize];
+                if s.epoch != epoch {
+                    // First visit of a qubit the merge has not touched: its
+                    // free time is the old stream's.
+                    let list = &users[q as usize];
+                    let before = list.partition_point(|&u| u < k);
+                    let free = before
+                        .checked_sub(1)
+                        .map_or(0.0, |at| nodes[list[at] as usize].finish());
+                    *s = ScanQubit {
+                        free,
+                        epoch,
+                        differs: false,
+                    };
+                }
+                start = start.max(s.free);
+            }
+            let finish = start + node.lat;
+            if finish > limit || start > node.latest + reject_margin {
+                for &(k, start) in undo.iter().rev() {
+                    nodes[k as usize].start = start;
+                }
+                return None;
+            }
+            let old_finish = node.finish();
+            if start != node.start {
+                undo.push((k, node.start));
+                nodes[k as usize].start = start;
+                accepted.moved_max = accepted.moved_max.max(finish);
+                accepted.moved_makespan |= old_finish == makespan;
+            }
+            let differs = finish != old_finish;
+            for &q in qs {
+                let s = &mut scan[q as usize];
+                differing = differing + differs as usize - s.differs as usize;
+                s.differs = differs;
+                s.free = finish;
+            }
+        }
+        Some(accepted)
+    }
+
+    /// Applies an accepted merge of the instruction at position `pj` into the
+    /// one at `pi`; [`reschedule`](Self::reschedule) already wrote the starts
+    /// it moved.
+    fn commit(
+        &mut self,
+        pi: usize,
+        pj: usize,
+        merged: AggregateInstruction,
+        lat_merged: f64,
+        accepted: Accepted,
+    ) {
+        let (i, j) = (self.order[pi] as usize, self.order[pj] as usize);
+        // j's qubit lists: on a shared qubit j directly follows i and leaves;
+        // elsewhere i takes j's place (its predecessor there precedes i).
+        let j_node = self.nodes[j];
+        for &q in &self.qubits[j_node.first as usize..][..j_node.width as usize] {
+            let list = &mut self.users[q as usize];
+            let at = list.binary_search(&key(j)).expect("j uses its qubits");
+            let i_node = &self.nodes[i];
+            if self.qubits[i_node.first as usize..][..i_node.width as usize].contains(&q) {
+                list.remove(at);
+            } else {
+                list[at] = key(i);
+            }
+        }
+        self.nodes[i] = Node {
+            start: accepted.start,
+            lat: lat_merged,
+            latest: self.nodes[i].latest,
+            first: key(self.qubits.len()),
+            width: key(merged.qubits.len()),
+        };
+        self.nodes[j] = Node::default();
+        self.qubits.extend(merged.qubits.iter().map(|&q| key(q)));
+        self.insts[i] = Some(merged);
+        self.insts[j] = None;
+        self.order.remove(pj);
+
+        // The new makespan is the old one unless an instruction that ended at
+        // it moved or vanished; only then is a full max needed.
+        let old_makespan = self.makespan;
+        let makespan = if accepted.moved_makespan {
+            self.nodes.iter().map(Node::finish).fold(0.0f64, f64::max)
+        } else {
+            old_makespan.max(accepted.moved_max)
+        };
+        if makespan.to_bits() != old_makespan.to_bits() {
+            self.makespan = makespan;
+            self.refresh_latest(pi);
+        }
+    }
 }
 
 /// The original sequential merge loop: scan, price one candidate at a time,
@@ -311,25 +638,26 @@ fn merge_loop_serial(
 ) {
     loop {
         stats.passes += 1;
+        state.refresh_latest(0);
         let mut performed = false;
 
-        let mut i = 0usize;
-        while i < state.current.len() {
-            let Some((j, merged)) = legal_candidate(&state.current, i, options) else {
-                i += 1;
+        let mut p = 0usize;
+        while p < state.order.len() {
+            let Some((pj, merged)) = state.legal_candidate(p, options) else {
+                p += 1;
                 continue;
             };
             let lat_merged = model.aggregate_latency(&merged.constituents);
-            if try_commit(state, i, j, merged, lat_merged, options) {
+            if state.try_commit(p, pj, merged, lat_merged, options) {
                 stats.merges += 1;
                 performed = true;
                 if stats.merges >= options.max_merges {
                     break;
                 }
-                // Stay at position i: the merged instruction may merge again
+                // Stay at position p: the merged instruction may merge again
                 // with its next partner.
             } else {
-                i += 1;
+                p += 1;
             }
         }
 
@@ -358,18 +686,19 @@ fn merge_loop_speculative(
     let window = pool.threads().saturating_mul(SPECULATION_PER_THREAD).max(1);
     loop {
         stats.passes += 1;
+        state.refresh_latest(0);
         let mut performed = false;
 
-        let mut i = 0usize;
-        while i < state.current.len() {
+        let mut p = 0usize;
+        while p < state.order.len() {
             // Collect the next `window` candidates of the frozen state,
             // remembering where the scan stopped.
             let mut candidates: Vec<(usize, usize, AggregateInstruction)> =
                 Vec::with_capacity(window);
-            let mut pos = i;
-            while pos < state.current.len() && candidates.len() < window {
-                if let Some((j, merged)) = legal_candidate(&state.current, pos, options) {
-                    candidates.push((pos, j, merged));
+            let mut pos = p;
+            while pos < state.order.len() && candidates.len() < window {
+                if let Some((pj, merged)) = state.legal_candidate(pos, options) {
+                    candidates.push((pos, pj, merged));
                 }
                 pos += 1;
             }
@@ -387,9 +716,9 @@ fn merge_loop_speculative(
             };
 
             let mut committed = None;
-            for ((ci, cj, merged), &lat_merged) in candidates.iter().zip(&prices) {
-                if try_commit(state, *ci, *cj, merged.clone(), lat_merged, options) {
-                    committed = Some(*ci);
+            for ((ci, cj, merged), &lat_merged) in candidates.into_iter().zip(&prices) {
+                if state.try_commit(ci, cj, merged, lat_merged, options) {
+                    committed = Some(ci);
                     break;
                 }
             }
@@ -402,11 +731,11 @@ fn merge_loop_speculative(
                     }
                     // Stay at the committed position — the merged instruction
                     // may merge again — and re-speculate against the new state.
-                    i = ci;
+                    p = ci;
                 }
                 // Every candidate rejected with the state unchanged: the
                 // serial scan would now be past the last collected position.
-                None => i = pos,
+                None => p = pos,
             }
         }
 
@@ -426,10 +755,177 @@ pub fn finalize_origins(instrs: &mut [AggregateInstruction]) {
     }
 }
 
+/// The merge search as it was before the incremental check, kept as the
+/// reference the incremental one is tested against: every exact check
+/// applies the merge in place, rebuilds the whole ASAP schedule and reverts
+/// on rejection, and every commit reruns ALAP over the whole stream.
+#[cfg(test)]
+mod reference {
+    use super::{AggregationOptions, AggregationStats};
+    use crate::instr::AggregateInstruction;
+    use crate::schedule::{alap_slacks, asap_schedule, Schedule};
+    use qcc_hw::LatencyModel;
+
+    struct SearchState {
+        current: Vec<AggregateInstruction>,
+        latencies: Vec<f64>,
+        schedule: Schedule,
+        slacks: Vec<f64>,
+    }
+
+    fn legal_candidate(
+        current: &[AggregateInstruction],
+        i: usize,
+        options: &AggregationOptions,
+    ) -> Option<(usize, AggregateInstruction)> {
+        let n = current.len();
+        let mut partner = None;
+        for j in (i + 1)..n.min(i + 1 + options.search_window) {
+            if !current[i].shared_qubits(&current[j]).is_empty() {
+                partner = Some(j);
+                break;
+            }
+        }
+        let j = partner?;
+        let b_qubits = &current[j].qubits;
+        if current[(i + 1)..j]
+            .iter()
+            .any(|k| k.qubits.iter().any(|q| b_qubits.contains(q)))
+        {
+            return None;
+        }
+        let mut union = current[i].qubits.clone();
+        for q in b_qubits {
+            if !union.contains(q) {
+                union.push(*q);
+            }
+        }
+        if union.len() > options.max_width
+            || current[i].gate_count() + current[j].gate_count() > options.max_gates
+        {
+            return None;
+        }
+        Some((j, current[i].merge(&current[j])))
+    }
+
+    fn try_commit(
+        state: &mut SearchState,
+        i: usize,
+        j: usize,
+        merged: AggregateInstruction,
+        lat_merged: f64,
+        options: &AggregationOptions,
+    ) -> bool {
+        let SearchState {
+            current,
+            latencies,
+            schedule,
+            slacks,
+        } = state;
+        let local_gain = latencies[i] + latencies[j] - lat_merged;
+        if options.require_local_gain && local_gain <= 1e-9 {
+            return false;
+        }
+        let finish_merged = schedule.entries[i].start + lat_merged;
+        if finish_merged > schedule.makespan + 1e-9 {
+            return false;
+        }
+        for &q in &merged.qubits {
+            let prev_release = if current[j].acts_on(q) {
+                schedule.entries[j].finish()
+            } else {
+                schedule.entries[i].finish()
+            };
+            let delay = finish_merged - prev_release;
+            if delay <= 1e-9 {
+                continue;
+            }
+            let next_user = current
+                .iter()
+                .enumerate()
+                .skip(j + 1)
+                .find(|(_, inst)| inst.acts_on(q));
+            if let Some((k, _)) = next_user {
+                if delay > slacks[k] + 1e-9 {
+                    return false;
+                }
+            }
+        }
+        let saved_i = std::mem::replace(&mut current[i], merged);
+        let saved_j = current.remove(j);
+        let saved_lat_i = latencies[i];
+        let saved_lat_j = latencies.remove(j);
+        latencies[i] = lat_merged;
+        let new_schedule = asap_schedule(current, latencies);
+        if new_schedule.makespan > schedule.makespan + 1e-9 {
+            latencies[i] = saved_lat_i;
+            latencies.insert(j, saved_lat_j);
+            current[i] = saved_i;
+            current.insert(j, saved_j);
+            return false;
+        }
+        *schedule = new_schedule;
+        *slacks = alap_slacks(current, latencies, schedule);
+        true
+    }
+
+    /// The serial merge loop over the full-recompute check.
+    pub(super) fn run(
+        instrs: &[AggregateInstruction],
+        model: &dyn LatencyModel,
+        options: &AggregationOptions,
+    ) -> (Vec<AggregateInstruction>, AggregationStats) {
+        let current = instrs.to_vec();
+        let latencies: Vec<f64> = current
+            .iter()
+            .map(|i| model.aggregate_latency(&i.constituents))
+            .collect();
+        let schedule = asap_schedule(&current, &latencies);
+        let slacks = alap_slacks(&current, &latencies, &schedule);
+        let mut stats = AggregationStats {
+            makespan_before: schedule.makespan,
+            ..Default::default()
+        };
+        let mut state = SearchState {
+            current,
+            latencies,
+            schedule,
+            slacks,
+        };
+        loop {
+            stats.passes += 1;
+            let mut performed = false;
+            let mut i = 0usize;
+            while i < state.current.len() {
+                let Some((j, merged)) = legal_candidate(&state.current, i, options) else {
+                    i += 1;
+                    continue;
+                };
+                let lat_merged = model.aggregate_latency(&merged.constituents);
+                if try_commit(&mut state, i, j, merged, lat_merged, options) {
+                    stats.merges += 1;
+                    performed = true;
+                    if stats.merges >= options.max_merges {
+                        break;
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+            if !performed || stats.merges >= options.max_merges {
+                break;
+            }
+        }
+        stats.makespan_after = state.schedule.makespan;
+        (state.current, stats)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frontend;
+    use proptest::prelude::*;
     use qcc_hw::CalibratedLatencyModel;
     use qcc_ir::{Circuit, Gate, Instruction};
 
@@ -595,5 +1091,135 @@ mod tests {
         };
         let (_, stats) = run(&instrs, &model, &options);
         assert_eq!(stats.merges, 2);
+    }
+
+    /// Prices every instruction alike, so equal finish times — exact ties in
+    /// the monotonicity check — are common.
+    struct ConstantModel;
+
+    impl LatencyModel for ConstantModel {
+        fn isa_gate_latency(&self, _: &Instruction) -> f64 {
+            20.0
+        }
+
+        fn aggregate_latency(&self, _: &[Instruction]) -> f64 {
+            20.0
+        }
+
+        fn name(&self) -> &'static str {
+            "constant"
+        }
+    }
+
+    /// Declares any model's pricing expensive, so a multi-thread pool runs
+    /// the speculative loop.
+    struct Speculative<'a>(&'a dyn LatencyModel);
+
+    impl LatencyModel for Speculative<'_> {
+        fn isa_gate_latency(&self, inst: &Instruction) -> f64 {
+            self.0.isa_gate_latency(inst)
+        }
+
+        fn aggregate_latency(&self, constituents: &[Instruction]) -> f64 {
+            self.0.aggregate_latency(constituents)
+        }
+
+        fn parallel_pricing(&self) -> bool {
+            true
+        }
+
+        fn name(&self) -> &'static str {
+            "speculative"
+        }
+    }
+
+    /// One random gate: `(arity, kind, qubit seeds, angle)`.
+    type GatePick = (usize, usize, (usize, usize, usize), f64);
+
+    /// A random stream of 1–3-qubit gates on `n` qubits, one instruction per
+    /// gate.
+    fn random_stream(n: usize, gates: &[GatePick]) -> Vec<AggregateInstruction> {
+        gates
+            .iter()
+            .map(|&(arity, kind, (a, b, c), theta)| {
+                let arity = arity.min(n);
+                let mut qs = vec![a % n];
+                for seed in [b, c].into_iter().take(arity - 1) {
+                    let mut q = seed % n;
+                    while qs.contains(&q) {
+                        q = (q + 1) % n;
+                    }
+                    qs.push(q);
+                }
+                let gate = match (arity, kind) {
+                    (1, 0) => Gate::H,
+                    (1, 1) => Gate::Rz(theta),
+                    (1, 2) => Gate::Rx(theta),
+                    (1, _) => Gate::T,
+                    (2, 0) => Gate::Cnot,
+                    (2, 1) => Gate::Rzz(theta),
+                    (2, 2) => Gate::Cz,
+                    (2, _) => Gate::Swap,
+                    _ => Gate::Toffoli,
+                };
+                single(gate, &qs)
+            })
+            .collect()
+    }
+
+    fn assert_matches_reference(
+        instrs: &[AggregateInstruction],
+        model: &dyn LatencyModel,
+        options: &AggregationOptions,
+    ) -> TestCaseResult {
+        let (want, want_stats) = reference::run(instrs, model, options);
+        let runs = [
+            run(instrs, model, options),
+            run_with_pool(instrs, &Speculative(model), options, &ThreadPool::new(3)),
+        ];
+        for (out, stats) in runs {
+            prop_assert_eq!(&out, &want);
+            prop_assert_eq!(
+                (stats.merges, stats.passes),
+                (want_stats.merges, want_stats.passes)
+            );
+            prop_assert_eq!(
+                stats.makespan_before.to_bits(),
+                want_stats.makespan_before.to_bits()
+            );
+            prop_assert_eq!(
+                stats.makespan_after.to_bits(),
+                want_stats.makespan_after.to_bits()
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn incremental_search_matches_the_full_recompute_reference(
+            n in 2usize..9,
+            gates in prop::collection::vec(
+                (1usize..4, 0usize..4, (0usize..64, 0usize..64, 0usize..64), 0.05f64..3.1),
+                1..81,
+            ),
+            max_width in 1usize..7,
+            search_window in 0usize..40,
+            local_gain in 0usize..2,
+            max_merges in 0usize..60,
+        ) {
+            let options = AggregationOptions {
+                max_width,
+                search_window,
+                require_local_gain: local_gain == 1,
+                max_merges: if max_merges == 0 { usize::MAX } else { max_merges },
+                ..AggregationOptions::default()
+            };
+            let instrs = random_stream(n, &gates);
+            assert_matches_reference(&instrs, &CalibratedLatencyModel::asplos19(), &options)?;
+            assert_matches_reference(&instrs, &ConstantModel, &options)?;
+        }
     }
 }

@@ -9,62 +9,224 @@
 //! with a maximal matching of the candidate computational graph (Fig. 7), and
 //! emits the selected instructions. The output is a new instruction order that
 //! maximizes parallelism without changing circuit semantics.
+//!
+//! # The ready set
+//!
+//! A round costs about as much as the instructions it can schedule, not the
+//! whole stream. The groups are stored flat, with one index from every
+//! (instruction, qubit) pair to its group and a count of unscheduled members
+//! per group. A qubit's cursor can only move when one of its instructions was
+//! scheduled, so each round advances the cursors of the qubits the previous
+//! round touched, past groups whose count reached zero. When a cursor opens a
+//! group, each unscheduled member counts one more open qubit, and a member
+//! whose qubits are all open joins the *ready set*. Ready members stay ready
+//! until scheduled, because a cursor never passes a group with an
+//! unscheduled member. The ready set is kept sorted, so each round sees
+//! exactly the candidates, in the same ascending order, that a scan of every
+//! instruction would find; the matching, which depends on edge order, is
+//! unchanged.
+//!
+//! Building the groups asks whether each instruction commutes with every
+//! member of its qubit's open group. Circuits repeat a few gate patterns many
+//! times, so the answers are kept in a table keyed by instruction shape (see
+//! `CommutationMemo`) and each distinct question is computed once.
 
 use crate::instr::AggregateInstruction;
 use qcc_graph::{matching, Graph};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// Per-qubit commutation groups: `groups[q]` is an ordered list of groups, each
-/// an ordered list of instruction indices acting on qubit `q`.
+/// Per-qubit commutation groups, stored flat: the groups of qubit 0 first,
+/// then those of qubit 1, and so on, each an ordered list of the indices of
+/// instructions acting on that qubit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommutationGroups {
-    /// Groups per qubit index.
-    pub groups: HashMap<usize, Vec<Vec<usize>>>,
+    /// Member instruction indices, group after group.
+    members: Vec<usize>,
+    /// Group `g` is `members[group_start[g]..group_start[g + 1]]`.
+    group_start: Vec<usize>,
+    /// The groups of qubit `q` are `qubit_start[q]..qubit_start[q + 1]`.
+    qubit_start: Vec<usize>,
 }
 
 impl CommutationGroups {
     /// Builds the commutation groups for an instruction sequence.
     pub fn build(instrs: &[AggregateInstruction]) -> Self {
-        let mut per_qubit: HashMap<usize, Vec<usize>> = HashMap::new();
+        let n_qubits = instrs
+            .iter()
+            .flat_map(|i| i.qubits.iter().copied())
+            .max()
+            .map_or(0, |m| m + 1);
+        // Each qubit's instructions in program order, qubit after qubit.
+        let mut order_start = vec![0usize; n_qubits + 1];
+        for inst in instrs {
+            for &q in &inst.qubits {
+                order_start[q + 1] += 1;
+            }
+        }
+        for q in 0..n_qubits {
+            order_start[q + 1] += order_start[q];
+        }
+        let mut fill = order_start.clone();
+        let mut by_qubit = vec![0usize; order_start[n_qubits]];
         for (idx, inst) in instrs.iter().enumerate() {
             for &q in &inst.qubits {
-                per_qubit.entry(q).or_default().push(idx);
+                by_qubit[fill[q]] = idx;
+                fill[q] += 1;
             }
         }
-        let mut groups: HashMap<usize, Vec<Vec<usize>>> = HashMap::new();
-        for (q, order) in per_qubit {
-            let mut qgroups: Vec<Vec<usize>> = Vec::new();
-            for &idx in &order {
-                let fits_last = qgroups.last().is_some_and(|last| {
-                    last.iter()
-                        .all(|&other| instrs[idx].commutes_with(&instrs[other]))
-                });
-                if fits_last {
-                    qgroups.last_mut().expect("non-empty").push(idx);
-                } else {
-                    qgroups.push(vec![idx]);
+
+        let mut memo = CommutationMemo::new(instrs);
+        let mut members = Vec::with_capacity(by_qubit.len());
+        let mut group_start = Vec::new();
+        let mut qubit_start = Vec::with_capacity(n_qubits + 1);
+        for q in 0..n_qubits {
+            qubit_start.push(group_start.len());
+            for &idx in &by_qubit[order_start[q]..order_start[q + 1]] {
+                let open = *group_start.last().unwrap_or(&0);
+                let fits_last = group_start.len() > qubit_start[q]
+                    && members[open..]
+                        .iter()
+                        .all(|&other| memo.commutes(idx, other));
+                if !fits_last {
+                    group_start.push(members.len());
                 }
+                members.push(idx);
             }
-            groups.insert(q, qgroups);
         }
-        Self { groups }
+        qubit_start.push(group_start.len());
+        group_start.push(members.len());
+        Self {
+            members,
+            group_start,
+            qubit_start,
+        }
+    }
+
+    /// Number of qubits the groups cover (one past the highest used index).
+    fn qubit_count(&self) -> usize {
+        self.qubit_start.len() - 1
+    }
+
+    /// The members of group `g`, in program order.
+    fn members(&self, g: usize) -> &[usize] {
+        &self.members[self.group_start[g]..self.group_start[g + 1]]
+    }
+
+    /// The group ids of qubit `q` (empty when the qubit is idle).
+    fn group_ids(&self, q: usize) -> std::ops::Range<usize> {
+        match (self.qubit_start.get(q), self.qubit_start.get(q + 1)) {
+            (Some(&first), Some(&end)) => first..end,
+            _ => 0..0,
+        }
+    }
+
+    /// The groups of qubit `q` in order, each as its members in program
+    /// order (none when the qubit is idle).
+    pub fn groups_on(&self, q: usize) -> impl Iterator<Item = &[usize]> + '_ {
+        self.group_ids(q).map(|g| self.members(g))
     }
 
     /// Number of groups on qubit `q` (0 when the qubit is idle).
     pub fn group_count(&self, q: usize) -> usize {
-        self.groups.get(&q).map_or(0, |g| g.len())
+        self.group_ids(q).len()
     }
 
     /// Whether two instructions can be reordered: they are in the same group on
     /// every shared qubit.
     pub fn can_reorder(&self, instrs: &[AggregateInstruction], a: usize, b: usize) -> bool {
         let shared = instrs[a].shared_qubits(&instrs[b]);
-        shared.iter().all(|q| {
-            self.groups
-                .get(q)
-                .map(|qgroups| qgroups.iter().any(|g| g.contains(&a) && g.contains(&b)))
-                .unwrap_or(false)
-        })
+        shared
+            .iter()
+            .all(|&q| self.groups_on(q).any(|g| g.contains(&a) && g.contains(&b)))
+    }
+}
+
+/// [`AggregateInstruction::commutes_with`], asked once per distinct question.
+///
+/// The answer depends only on the two instructions' gates with their qubits
+/// relabelled by rank in the joint support (every test it makes — structural,
+/// diagonal, dense — is invariant under an order-preserving relabel). That is
+/// fixed by each instruction's *shape* (its gates on its own sorted support)
+/// and by how the two supports interleave, so answers are kept per
+/// `(shape, shape, interleaving)`. Circuits repeat a few gate patterns many
+/// times, so most questions are answered from the table.
+struct CommutationMemo<'a> {
+    instrs: &'a [AggregateInstruction],
+    /// Shape id of every instruction.
+    shape: Vec<u32>,
+    known: BTreeMap<(u32, u32, u64), bool>,
+}
+
+impl<'a> CommutationMemo<'a> {
+    fn new(instrs: &'a [AggregateInstruction]) -> Self {
+        let mut ids: BTreeMap<Vec<u8>, u32> = BTreeMap::new();
+        let mut key = Vec::new();
+        let shape = instrs
+            .iter()
+            .map(|inst| {
+                key.clear();
+                for gate in &inst.constituents {
+                    gate.gate.encode_into(&mut key);
+                    key.extend_from_slice(&(gate.qubits.len() as u32).to_le_bytes());
+                    for q in &gate.qubits {
+                        let rank = inst.qubits.partition_point(|s| s < q) as u32;
+                        key.extend_from_slice(&rank.to_le_bytes());
+                    }
+                }
+                if let Some(&id) = ids.get(&key) {
+                    return id;
+                }
+                let id = ids.len() as u32;
+                ids.insert(key.clone(), id);
+                id
+            })
+            .collect();
+        Self {
+            instrs,
+            shape,
+            known: BTreeMap::new(),
+        }
+    }
+
+    /// How the sorted supports of `a` and `b` interleave: two bits per joint
+    /// qubit (in `a` only, in `b` only, in both); `None` past 32 qubits.
+    fn interleaving(a: &[usize], b: &[usize]) -> Option<u64> {
+        let (mut x, mut y, mut bits) = (0, 0, 0u64);
+        for _ in 0..32 {
+            let code = match (a.get(x), b.get(y)) {
+                (None, None) => return Some(bits),
+                (Some(p), Some(q)) if p == q => {
+                    x += 1;
+                    y += 1;
+                    3
+                }
+                (Some(p), Some(q)) if p > q => {
+                    y += 1;
+                    2
+                }
+                (Some(_), _) => {
+                    x += 1;
+                    1
+                }
+                (None, Some(_)) => {
+                    y += 1;
+                    2
+                }
+            };
+            bits = bits << 2 | code;
+        }
+        (x == a.len() && y == b.len()).then_some(bits)
+    }
+
+    fn commutes(&mut self, a: usize, b: usize) -> bool {
+        let (ia, ib) = (&self.instrs[a], &self.instrs[b]);
+        let Some(layout) = Self::interleaving(&ia.qubits, &ib.qubits) else {
+            return ia.commutes_with(ib);
+        };
+        *self
+            .known
+            .entry((self.shape[a], self.shape[b], layout))
+            .or_insert_with(|| ia.commutes_with(ib))
     }
 }
 
@@ -91,50 +253,101 @@ pub fn schedule(instrs: &[AggregateInstruction], latencies: &[f64]) -> ClsResult
         };
     }
     let groups = CommutationGroups::build(instrs);
-    // Per qubit: (current group index, set of already-scheduled members of the
-    // current group).
-    let mut group_cursor: HashMap<usize, usize> = HashMap::new();
+    let n_qubits = groups.qubit_count();
+    let max_qubit = n_qubits.saturating_sub(1);
+
+    // The group of every (instruction, qubit) pair: slot `slot_start[i] + s`
+    // belongs to the s-th qubit of instruction i.
+    let mut slot_start = Vec::with_capacity(n + 1);
+    slot_start.push(0usize);
+    for inst in instrs {
+        slot_start.push(slot_start[slot_start.len() - 1] + inst.qubits.len());
+    }
+    let mut slot_group = vec![0usize; slot_start[n]];
+    for q in 0..n_qubits {
+        for g in groups.group_ids(q) {
+            for &i in groups.members(g) {
+                let s = instrs[i]
+                    .qubits
+                    .iter()
+                    .position(|&x| x == q)
+                    .expect("a group member acts on its qubit");
+                slot_group[slot_start[i] + s] = g;
+            }
+        }
+    }
+    let mut unscheduled: Vec<usize> = groups.group_start.windows(2).map(|w| w[1] - w[0]).collect();
+    // Per qubit: the open group (its end when the qubit is done).
+    let mut cursor: Vec<usize> = groups.qubit_start[..n_qubits].to_vec();
+    // Per instruction: how many of its qubits have its group open.
+    let mut open = vec![0usize; n];
+    for q in 0..n_qubits {
+        if let Some(g) = groups.group_ids(q).next() {
+            for &i in groups.members(g) {
+                open[i] += 1;
+            }
+        }
+    }
+    let mut ready: Vec<usize> = (0..n)
+        .filter(|&i| open[i] == instrs[i].qubits.len())
+        .collect();
     let mut scheduled = vec![false; n];
+    let mut first_unscheduled = 0usize;
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut rounds = 0usize;
+    let mut touched: Vec<usize> = Vec::new();
+    let mut used_qubits: Vec<bool> = vec![false; max_qubit + 1];
 
-    let qubit_ids: Vec<usize> = groups.groups.keys().copied().collect();
-    let max_qubit = qubit_ids.iter().copied().max().unwrap_or(0);
+    // Marks `i` scheduled, releases its group slots, and notes its qubits.
+    let emit =
+        |i: usize, scheduled: &mut [bool], unscheduled: &mut [usize], touched: &mut Vec<usize>| {
+            scheduled[i] = true;
+            for &g in &slot_group[slot_start[i]..slot_start[i + 1]] {
+                unscheduled[g] -= 1;
+            }
+            touched.extend_from_slice(&instrs[i].qubits);
+        };
 
     while order.len() < n {
         rounds += 1;
-        // Advance cursors past fully-scheduled groups.
-        for &q in &qubit_ids {
-            let qgroups = &groups.groups[&q];
-            let cursor = group_cursor.entry(q).or_insert(0);
-            while *cursor < qgroups.len() && qgroups[*cursor].iter().all(|&i| scheduled[i]) {
-                *cursor += 1;
+        // Advance the cursors the last round can have moved past
+        // fully-scheduled groups, opening the group each one lands on.
+        let ready_before = ready.len();
+        for &q in &touched {
+            let end = groups.qubit_start[q + 1];
+            let mut c = cursor[q];
+            if c == end || unscheduled[c] > 0 {
+                continue;
+            }
+            while c < end && unscheduled[c] == 0 {
+                c += 1;
+            }
+            cursor[q] = c;
+            if c < end {
+                for &i in groups.members(c) {
+                    if !scheduled[i] {
+                        open[i] += 1;
+                        if open[i] == instrs[i].qubits.len() {
+                            ready.push(i);
+                        }
+                    }
+                }
             }
         }
-        // Candidate instructions: unscheduled, and on every one of their qubits
-        // they belong to that qubit's currently open group.
-        let candidates: Vec<usize> = (0..n)
-            .filter(|&i| !scheduled[i])
-            .filter(|&i| {
-                instrs[i].qubits.iter().all(|q| {
-                    let cursor = group_cursor.get(q).copied().unwrap_or(0);
-                    groups
-                        .groups
-                        .get(q)
-                        .and_then(|qg| qg.get(cursor))
-                        .map(|g| g.contains(&i))
-                        .unwrap_or(false)
-                })
-            })
-            .collect();
+        touched.clear();
+        if ready.len() > ready_before {
+            ready.sort_unstable();
+        }
 
-        if candidates.is_empty() {
+        // Candidate instructions: the ready set, in ascending order.
+        if ready.is_empty() {
             // Should not happen for well-formed inputs, but guarantee progress
             // by force-scheduling the earliest unscheduled instruction.
-            let fallback = (0..n)
-                .find(|&i| !scheduled[i])
-                .expect("unscheduled remains");
-            scheduled[fallback] = true;
+            while scheduled[first_unscheduled] {
+                first_unscheduled += 1;
+            }
+            let fallback = first_unscheduled;
+            emit(fallback, &mut scheduled, &mut unscheduled, &mut touched);
             order.push(fallback);
             continue;
         }
@@ -143,9 +356,9 @@ pub fn schedule(instrs: &[AggregateInstruction], latencies: &[f64]) -> ClsResult
         // instructions are edges (weighted by latency so long instructions are
         // matched first); single-qubit candidates never conflict.
         let mut conflict = Graph::new(max_qubit + 1);
-        let mut edge_to_candidate: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut edge_owner: Vec<((usize, usize), usize)> = Vec::new();
         let mut selected: Vec<usize> = Vec::new();
-        for &i in &candidates {
+        for &i in &ready {
             match instrs[i].qubits.len() {
                 1 => selected.push(i),
                 2 => {
@@ -153,10 +366,8 @@ pub fn schedule(instrs: &[AggregateInstruction], latencies: &[f64]) -> ClsResult
                     let b = instrs[i].qubits[0].max(instrs[i].qubits[1]);
                     // Keep only the first candidate per edge this round; the
                     // rest will be picked up in later rounds.
-                    if let std::collections::hash_map::Entry::Vacant(slot) =
-                        edge_to_candidate.entry((a, b))
-                    {
-                        slot.insert(i);
+                    if !conflict.has_edge(a, b) {
+                        edge_owner.push(((a, b), i));
                         conflict.add_edge(a, b, latencies[i].max(1e-9));
                     }
                 }
@@ -168,17 +379,18 @@ pub fn schedule(instrs: &[AggregateInstruction], latencies: &[f64]) -> ClsResult
                 }
             }
         }
-        let matched = matching::improved_matching(&conflict);
-        for (a, b) in matched {
-            let key = (a.min(b), a.max(b));
-            if let Some(&i) = edge_to_candidate.get(&key) {
-                selected.push(i);
+        if !edge_owner.is_empty() {
+            for (a, b) in matching::improved_matching(&conflict) {
+                let key = (a.min(b), a.max(b));
+                if let Some(&(_, i)) = edge_owner.iter().find(|(edge, _)| *edge == key) {
+                    selected.push(i);
+                }
             }
         }
         // Resolve residual conflicts among the selected set (wide instructions
         // or a 1-qubit gate whose qubit also appears in a matched edge): keep
         // the earliest conflict-free subset in candidate order.
-        let mut used_qubits: Vec<bool> = vec![false; max_qubit + 1];
+        used_qubits.fill(false);
         selected.sort_unstable();
         let mut emitted_this_round = Vec::new();
         for i in selected {
@@ -188,17 +400,18 @@ pub fn schedule(instrs: &[AggregateInstruction], latencies: &[f64]) -> ClsResult
             for &q in &instrs[i].qubits {
                 used_qubits[q] = true;
             }
-            scheduled[i] = true;
             emitted_this_round.push(i);
         }
         if emitted_this_round.is_empty() {
-            let fallback = candidates[0];
-            scheduled[fallback] = true;
-            emitted_this_round.push(fallback);
+            emitted_this_round.push(ready[0]);
         }
         // Emit in original-index order for determinism.
         emitted_this_round.sort_unstable();
+        for &i in &emitted_this_round {
+            emit(i, &mut scheduled, &mut unscheduled, &mut touched);
+        }
         order.extend(emitted_this_round);
+        ready.retain(|&i| !scheduled[i]);
     }
 
     ClsResult { order, rounds }
@@ -209,12 +422,145 @@ pub fn apply_order(instrs: &[AggregateInstruction], order: &[usize]) -> Vec<Aggr
     order.iter().map(|&i| instrs[i].clone()).collect()
 }
 
+/// CLS as it was before the ready set, kept as the reference the ready-set
+/// scheduler is tested against: per-qubit groups as nested lists, and every
+/// round rescans all instructions with `Vec::contains` group tests.
+#[cfg(test)]
+mod reference {
+    use super::ClsResult;
+    use crate::instr::AggregateInstruction;
+    use qcc_graph::{matching, Graph};
+    use std::collections::BTreeMap;
+
+    /// Groups per qubit: `groups[q]` lists the groups of qubit `q` in order.
+    pub(super) fn groups(instrs: &[AggregateInstruction]) -> BTreeMap<usize, Vec<Vec<usize>>> {
+        let mut per_qubit: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (idx, inst) in instrs.iter().enumerate() {
+            for &q in &inst.qubits {
+                per_qubit.entry(q).or_default().push(idx);
+            }
+        }
+        let mut groups = BTreeMap::new();
+        for (q, order) in per_qubit {
+            let mut qgroups: Vec<Vec<usize>> = Vec::new();
+            for &idx in &order {
+                let fits_last = qgroups.last().is_some_and(|last| {
+                    last.iter()
+                        .all(|&other| instrs[idx].commutes_with(&instrs[other]))
+                });
+                if fits_last {
+                    qgroups.last_mut().expect("non-empty").push(idx);
+                } else {
+                    qgroups.push(vec![idx]);
+                }
+            }
+            groups.insert(q, qgroups);
+        }
+        groups
+    }
+
+    pub(super) fn schedule(instrs: &[AggregateInstruction], latencies: &[f64]) -> ClsResult {
+        let n = instrs.len();
+        if n == 0 {
+            return ClsResult {
+                order: Vec::new(),
+                rounds: 0,
+            };
+        }
+        let groups = groups(instrs);
+        let mut group_cursor: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut scheduled = vec![false; n];
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        let mut rounds = 0usize;
+        let qubit_ids: Vec<usize> = groups.keys().copied().collect();
+        let max_qubit = qubit_ids.iter().copied().max().unwrap_or(0);
+
+        while order.len() < n {
+            rounds += 1;
+            for &q in &qubit_ids {
+                let qgroups = &groups[&q];
+                let cursor = group_cursor.entry(q).or_insert(0);
+                while *cursor < qgroups.len() && qgroups[*cursor].iter().all(|&i| scheduled[i]) {
+                    *cursor += 1;
+                }
+            }
+            let candidates: Vec<usize> = (0..n)
+                .filter(|&i| !scheduled[i])
+                .filter(|&i| {
+                    instrs[i].qubits.iter().all(|q| {
+                        let cursor = group_cursor.get(q).copied().unwrap_or(0);
+                        groups
+                            .get(q)
+                            .and_then(|qg| qg.get(cursor))
+                            .map(|g| g.contains(&i))
+                            .unwrap_or(false)
+                    })
+                })
+                .collect();
+            if candidates.is_empty() {
+                let fallback = (0..n)
+                    .find(|&i| !scheduled[i])
+                    .expect("unscheduled remains");
+                scheduled[fallback] = true;
+                order.push(fallback);
+                continue;
+            }
+            let mut conflict = Graph::new(max_qubit + 1);
+            let mut edge_to_candidate: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+            let mut selected: Vec<usize> = Vec::new();
+            for &i in &candidates {
+                match instrs[i].qubits.len() {
+                    1 => selected.push(i),
+                    2 => {
+                        let a = instrs[i].qubits[0].min(instrs[i].qubits[1]);
+                        let b = instrs[i].qubits[0].max(instrs[i].qubits[1]);
+                        if let std::collections::btree_map::Entry::Vacant(slot) =
+                            edge_to_candidate.entry((a, b))
+                        {
+                            slot.insert(i);
+                            conflict.add_edge(a, b, latencies[i].max(1e-9));
+                        }
+                    }
+                    _ => selected.push(i),
+                }
+            }
+            for (a, b) in matching::improved_matching(&conflict) {
+                if let Some(&i) = edge_to_candidate.get(&(a.min(b), a.max(b))) {
+                    selected.push(i);
+                }
+            }
+            let mut used_qubits: Vec<bool> = vec![false; max_qubit + 1];
+            selected.sort_unstable();
+            let mut emitted_this_round = Vec::new();
+            for i in selected {
+                if instrs[i].qubits.iter().any(|&q| used_qubits[q]) {
+                    continue;
+                }
+                for &q in &instrs[i].qubits {
+                    used_qubits[q] = true;
+                }
+                scheduled[i] = true;
+                emitted_this_round.push(i);
+            }
+            if emitted_this_round.is_empty() {
+                let fallback = candidates[0];
+                scheduled[fallback] = true;
+                emitted_this_round.push(fallback);
+            }
+            emitted_this_round.sort_unstable();
+            order.extend(emitted_this_round);
+        }
+        ClsResult { order, rounds }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frontend;
     use crate::instr::InstructionOrigin;
     use crate::schedule::asap_schedule;
+    use proptest::prelude::*;
     use qcc_ir::{Circuit, Gate, Instruction};
 
     fn zz(a: usize, b: usize, theta: f64) -> AggregateInstruction {
@@ -355,5 +701,65 @@ mod tests {
         let reordered_lat: Vec<f64> = result.order.iter().map(|&i| lat[i]).collect();
         let after = asap_schedule(&reordered, &reordered_lat).makespan;
         assert!(after <= before + 1e-9, "after {after} > before {before}");
+    }
+
+    /// A random stream on `n` qubits mixing commuting diagonal blocks with
+    /// gates that break groups: `(kind, qubit seeds, angle)` per instruction.
+    fn random_stream(
+        n: usize,
+        picks: &[(usize, (usize, usize, usize), f64)],
+    ) -> Vec<AggregateInstruction> {
+        picks
+            .iter()
+            .map(|&(kind, (a, b, c), theta)| {
+                let mut qs = vec![a % n];
+                for seed in [b, c] {
+                    let mut q = seed % n;
+                    while qs.contains(&q) {
+                        q = (q + 1) % n;
+                    }
+                    qs.push(q);
+                }
+                let gate = |g: Gate, k: usize| {
+                    AggregateInstruction::from_gate(Instruction::new(g, qs[..k].to_vec()))
+                };
+                match kind {
+                    0 | 1 => zz(qs[0], qs[1], theta),
+                    2 => gate(Gate::Rz(theta), 1),
+                    3 => gate(Gate::H, 1),
+                    4 => gate(Gate::Rx(theta), 1),
+                    5 => gate(Gate::Cnot, 2),
+                    6 => gate(Gate::Cz, 2),
+                    7 => gate(Gate::Swap, 2),
+                    _ => gate(Gate::Toffoli, 3),
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn ready_set_schedule_matches_the_full_scan_reference(
+            n in 3usize..9,
+            picks in prop::collection::vec(
+                (0usize..9, (0usize..64, 0usize..64, 0usize..64), 0.05f64..3.1),
+                1..81,
+            ),
+            lat_picks in prop::collection::vec(0usize..4, 81..82),
+        ) {
+            let instrs = random_stream(n, &picks);
+            // Few distinct latencies, so equal edge weights are common.
+            let lat: Vec<f64> = (0..instrs.len())
+                .map(|i| [10.0, 20.0, 30.0, 17.5][lat_picks[i]])
+                .collect();
+            let groups = CommutationGroups::build(&instrs);
+            for (q, want) in reference::groups(&instrs) {
+                let got: Vec<Vec<usize>> = groups.groups_on(q).map(|g| g.to_vec()).collect();
+                prop_assert_eq!(got, want);
+            }
+            prop_assert_eq!(schedule(&instrs, &lat), reference::schedule(&instrs, &lat));
+        }
     }
 }

@@ -9,7 +9,7 @@
 pub mod queue;
 
 use crate::partition::PartitionOptions;
-use crate::passes::CompileError;
+use crate::passes::{catch_panic, CompileError};
 use crate::persist::{self, COMPILE_SNAPSHOT_KIND};
 use crate::pipeline::{CompilationResult, Compiler, CompilerOptions};
 use qcc_hw::persist::{fnv64, hex16, SnapshotWriter, SNAPSHOT_EXTENSION};
@@ -625,15 +625,18 @@ impl<'d> CompileService<'d> {
     }
 
     /// Compiles one circuit, serving a cached result when the identical
-    /// request (circuit + options) was compiled before.
+    /// request (circuit + options) was compiled before. A panic inside the
+    /// compiler (a pass or the latency model) fails only this request with
+    /// [`CompileError::Panicked`], and the request still counts as completed.
     pub fn compile(
         &self,
         circuit: &Circuit,
         options: &CompilerOptions,
     ) -> Result<CompilationResult, CompileError> {
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        let compile = || catch_panic(|| self.compiler().try_compile(circuit, options));
         if !self.cache.enabled() {
-            let result = self.compiler().try_compile(circuit, options);
+            let result = compile();
             self.counters.completed.fetch_add(1, Ordering::Relaxed);
             return result;
         }
@@ -642,7 +645,7 @@ impl<'d> CompileService<'d> {
             self.counters.completed.fetch_add(1, Ordering::Relaxed);
             return Ok((*hit).clone());
         }
-        let result = self.compiler().try_compile(circuit, options);
+        let result = compile();
         self.counters.completed.fetch_add(1, Ordering::Relaxed);
         let result = result?;
         self.cache.insert(key, Arc::new(result.clone()));
@@ -657,6 +660,7 @@ impl<'d> CompileService<'d> {
     /// whole-circuit entry, even though with `regions = 1` the two results
     /// are bit-identical. Counted in
     /// [`CompileCacheStats::partitioned`]/[`CompileCacheStats::partition_regions`].
+    /// A panic fails only this request, as in [`compile`](Self::compile).
     pub fn compile_partitioned(
         &self,
         circuit: &Circuit,
@@ -671,10 +675,14 @@ impl<'d> CompileService<'d> {
                 .partition_regions
                 .fetch_add(regions, Ordering::Relaxed);
         };
+        let compile = || {
+            catch_panic(|| {
+                self.compiler()
+                    .compile_partitioned(circuit, options, partition)
+            })
+        };
         if !self.cache.enabled() {
-            let result = self
-                .compiler()
-                .compile_partitioned(circuit, options, partition);
+            let result = compile();
             self.counters.completed.fetch_add(1, Ordering::Relaxed);
             if let Ok(result) = &result {
                 record_regions(result);
@@ -686,9 +694,7 @@ impl<'d> CompileService<'d> {
             self.counters.completed.fetch_add(1, Ordering::Relaxed);
             return Ok((*hit).clone());
         }
-        let result = self
-            .compiler()
-            .compile_partitioned(circuit, options, partition);
+        let result = compile();
         self.counters.completed.fetch_add(1, Ordering::Relaxed);
         let result = result?;
         record_regions(&result);

@@ -8,11 +8,17 @@
 //! IEEE-754 representation of `total_latency_ns`, and the two hashes are
 //! FNV-1a over the bit patterns of the per-instruction latency vector and of
 //! the `(index, start, duration)` triples of the final schedule.
+//!
+//! The `square_root_n3` rows pin one paper-scale circuit (Table 3's
+//! square-root search at 3 input bits, 2,071 gates, on a 60-qubit grid). They
+//! were captured before the aggregation merge check and CLS became
+//! incremental, and on this circuit the merge check accepts, rejects early
+//! and falls through to the exact scan, so all three outcomes stay pinned.
 
 use qcc::compiler::{AggregationOptions, Compiler, CompilerOptions, Strategy};
 use qcc::hw::{CalibratedLatencyModel, Device};
 use qcc::ir::Circuit;
-use qcc::workloads::{ising, qaoa};
+use qcc::workloads::{grover, ising, qaoa};
 
 struct Golden {
     instructions: usize,
@@ -50,6 +56,11 @@ fn workloads() -> Vec<(&'static str, Circuit, Device)> {
             ising::ising_chain(8),
             Device::transmon_grid(8),
         ),
+        (
+            "square_root_n3",
+            grover::square_root_benchmark(3),
+            Device::transmon_grid(60),
+        ),
     ]
 }
 
@@ -71,6 +82,8 @@ fn golden() -> Vec<(&'static str, Strategy, Golden)> {
         ("ising_chain_8", Strategy::AggregationOnly, Golden { instructions: 19, swaps: 8, total_bits: 0x407c2418cedd79aa, latency_hash: 0x3ed56ff164eed1e0, schedule_hash: 0x7d0750e7fb4d4698 }),
         ("ising_chain_8", Strategy::ClsAggregation, Golden { instructions: 19, swaps: 8, total_bits: 0x407c2418cedd79aa, latency_hash: 0x3757a0c5f3034ad8, schedule_hash: 0x0e0f1846806f49f4 }),
         ("ising_chain_8", Strategy::ClsHandOptimized, Golden { instructions: 46, swaps: 8, total_bits: 0x40813553cbc1142b, latency_hash: 0xdac4445a79622795, schedule_hash: 0x4a4c2535d75f2cb1 }),
+        ("square_root_n3", Strategy::Cls, Golden { instructions: 2346, swaps: 683, total_bits: 0x40e8252000000000, latency_hash: 0x47f4fe19580bbe58, schedule_hash: 0xa134a10455481a81 }),
+        ("square_root_n3", Strategy::ClsAggregation, Golden { instructions: 1034, swaps: 744, total_bits: 0x40daaca000000000, latency_hash: 0x380847f63c4972bf, schedule_hash: 0x4f65e7e8083a58b3 }),
     ]
 }
 

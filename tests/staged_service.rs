@@ -8,8 +8,9 @@
 mod common;
 
 use qcc::compiler::{
-    AggregationOptions, CompileError, CompileService, Compiler, CompilerOptions, PassProgress,
-    Priority, ServeConfig, ServiceError, Strategy, SubmitOptions, DEFAULT_STAGE_CAPACITY,
+    AggregationOptions, CompileError, CompileService, Compiler, CompilerOptions, PartitionOptions,
+    PassProgress, Priority, ServeConfig, ServiceError, Strategy, SubmitOptions,
+    DEFAULT_STAGE_CAPACITY,
 };
 use qcc::control::GrapeLatencyModel;
 use qcc::hw::{CalibratedLatencyModel, Device};
@@ -362,5 +363,30 @@ fn a_panicking_model_fails_its_ticket_and_the_worker_keeps_serving() {
     for (a, b) in good.latencies.iter().zip(&reference.latencies) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
+    assert_eq!((stats.submitted, stats.completed), (2, 2));
+}
+
+#[test]
+fn a_panicking_model_fails_only_its_synchronous_request() {
+    // The synchronous front doors contain a panic like the serve workers do:
+    // the request fails with `Panicked` and still counts as completed.
+    let device = Device::transmon_line(4);
+    let model = common::PoisonedModel(CalibratedLatencyModel::new(device.limits));
+    let service = CompileService::with_model(&device, Box::new(model));
+    let options = CompilerOptions::strategy(Strategy::ClsAggregation);
+    let poisoned = common::poisoned(&ising::ising_chain(4));
+    let outcomes = [
+        service.compile(&poisoned, &options),
+        service.compile_partitioned(&poisoned, &options, &PartitionOptions::new(2)),
+    ];
+    for outcome in outcomes {
+        match outcome {
+            Err(CompileError::Panicked { message }) => {
+                assert!(message.contains("marker gate"), "{message}")
+            }
+            other => panic!("expected a panicked compile, got {other:?}"),
+        }
+    }
+    let stats = service.compile_cache_stats();
     assert_eq!((stats.submitted, stats.completed), (2, 2));
 }
