@@ -3,21 +3,10 @@
 //! (square-root, UCCSD), including the latency band of the most/least
 //! optimized instruction on the critical path.
 
-//!
-//! A partitioned lane rides along: each benchmark is also compiled cut into
-//! `k` regions ([`qcc_core::partition`]) against the serial whole-circuit
-//! compile, reporting makespan ratio, compile wall clock, and the partition
-//! telemetry (regions, cut weight, stitch overhead). Set `QCC_PARTITIONS=<k>`
-//! to pin a single region count; the default sweeps k = 2 and 4.
-
-use qcc_bench::{
-    banner, partitions_from_env, record_compile_timing, render_table, scale_from_env,
-    write_bench_json,
-};
-use qcc_core::{AggregationOptions, Compiler, CompilerOptions, PartitionOptions, Strategy};
+use qcc_bench::{banner, render_table, scale_from_env};
+use qcc_core::{AggregationOptions, Compiler, CompilerOptions, Strategy};
 use qcc_hw::{CalibratedLatencyModel, Device};
 use qcc_workloads::{standard_suite, SuiteScale};
-use std::time::Instant;
 
 fn main() {
     banner(
@@ -39,12 +28,6 @@ fn main() {
         vec![2, 3, 4, 6, 8, 10]
     } else {
         vec![2, 4, 10]
-    };
-    // 0 is the "unset" sentinel: a *set* QCC_PARTITIONS must be ≥ 1, so it
-    // can never collide with the default sweep.
-    let partition_ks = match partitions_from_env(0) {
-        0 => vec![2usize, 4],
-        k => vec![k],
     };
 
     for name in selected {
@@ -94,63 +77,6 @@ fn main() {
                 &rows
             )
         );
-        // Partitioned lane: serial whole-circuit compile vs cut into k
-        // regions compiled in parallel and stitched at the seams.
-        let options = CompilerOptions::strategy(Strategy::ClsAggregation);
-        let started = Instant::now();
-        let serial = compiler.compile(&bench.circuit, &options);
-        let serial_seconds = started.elapsed().as_secs_f64();
-        record_compile_timing(
-            &format!("{name}-partitioned-serial"),
-            Strategy::ClsAggregation,
-            serial_seconds,
-        );
-        let mut rows = vec![vec![
-            "serial".to_string(),
-            "1.000".to_string(),
-            format!("{:.3}", serial_seconds * 1e3),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-        ]];
-        for &k in &partition_ks {
-            let started = Instant::now();
-            let part = compiler
-                .compile_partitioned(&bench.circuit, &options, &PartitionOptions::new(k))
-                .expect("device sized for the benchmark");
-            let seconds = started.elapsed().as_secs_f64();
-            record_compile_timing(
-                &format!("{name}-partitioned-k{k}"),
-                Strategy::ClsAggregation,
-                seconds,
-            );
-            let summary = part.partition.expect("partitioned compile has telemetry");
-            rows.push(vec![
-                format!("k={k}"),
-                format!("{:.3}", part.total_latency_ns / serial.total_latency_ns),
-                format!("{:.3}", seconds * 1e3),
-                format!("{}", summary.regions.len()),
-                format!("{:.1}", summary.cut_weight),
-                format!("{:.1}", summary.stitch_wall_time.as_secs_f64() * 1e6),
-            ]);
-        }
-        println!("\n{name} — partitioned lane");
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "lane",
-                    "makespan vs serial",
-                    "compile (ms)",
-                    "regions",
-                    "cut weight",
-                    "stitch (µs)"
-                ],
-                &rows
-            )
-        );
     }
     println!("\nExpected shape: parallel apps (top) saturate at small widths; serialized apps keep improving as the width limit grows.");
-    println!("Partitioned lanes trade a bounded makespan overhead (merges cannot cross cut barriers) for region-parallel compile time on wide circuits.");
-    write_bench_json("fig10_width_sweep");
 }

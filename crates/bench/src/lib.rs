@@ -12,9 +12,7 @@
 //! to one strategy — the ISA baseline is always kept for normalization. Set
 //! `QCC_BENCH_JSON=<path>` to additionally write the per-strategy compile
 //! wall-clock timings as machine-readable JSON ([`write_bench_json`]) — the
-//! artifact CI uploads to track the performance trajectory. Set
-//! `QCC_PARTITIONS=<k>` to pick the region count of the
-//! partitioned-compilation lanes ([`partitions_from_env`]).
+//! artifact CI uploads to track the performance trajectory.
 
 #![warn(missing_docs)]
 
@@ -75,40 +73,6 @@ pub fn strategies_from(value: Option<&str>) -> Result<Vec<Strategy>, String> {
         Ok(vec![chosen])
     } else {
         Ok(vec![Strategy::IsaBaseline, chosen])
-    }
-}
-
-/// Region count selected by the `QCC_PARTITIONS` environment variable (the
-/// `k` the partitioned-compilation bench lanes cut each circuit into). Unset
-/// or empty: `default`.
-///
-/// # Panics
-///
-/// Panics with a message naming the offending value when the variable is set
-/// to anything but a positive integer — a typo'd region count must be a loud
-/// startup error, not a silently unpartitioned run.
-pub fn partitions_from_env(default: usize) -> usize {
-    partitions_from(std::env::var("QCC_PARTITIONS").ok().as_deref(), default)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Pure parsing unit behind [`partitions_from_env`]: `None` or an
-/// empty/whitespace value selects `default`; otherwise the value must parse
-/// as an integer ≥ 1, and the error names the offending value.
-pub fn partitions_from(value: Option<&str>, default: usize) -> Result<usize, String> {
-    let Some(raw) = value else {
-        return Ok(default);
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(default);
-    }
-    match trimmed.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        Ok(_) => Err(format!(
-            "invalid QCC_PARTITIONS value '{raw}': region count must be at least 1"
-        )),
-        Err(e) => Err(format!("invalid QCC_PARTITIONS value '{raw}': {e}")),
     }
 }
 
@@ -361,20 +325,6 @@ mod tests {
         for bad in ["clsx", "aggregation+cls", "42"] {
             let err = strategies_from(Some(bad)).unwrap_err();
             assert!(err.contains("QCC_STRATEGY"), "{err}");
-            assert!(err.contains(bad), "error must name the value: {err}");
-        }
-    }
-
-    #[test]
-    fn partitions_env_parsing_selects_and_rejects() {
-        assert_eq!(partitions_from(None, 2), Ok(2));
-        assert_eq!(partitions_from(Some(""), 2), Ok(2));
-        assert_eq!(partitions_from(Some("  "), 4), Ok(4));
-        assert_eq!(partitions_from(Some("4"), 2), Ok(4));
-        assert_eq!(partitions_from(Some(" 8 "), 2), Ok(8));
-        for bad in ["0", "-1", "two", "3.5", "1e2"] {
-            let err = partitions_from(Some(bad), 2).unwrap_err();
-            assert!(err.contains("QCC_PARTITIONS"), "{err}");
             assert!(err.contains(bad), "error must name the value: {err}");
         }
     }

@@ -52,7 +52,6 @@ pub mod frontend;
 pub mod handopt;
 pub mod instr;
 pub mod mapping;
-pub mod partition;
 pub mod passes;
 pub mod persist;
 pub mod pipeline;
@@ -63,9 +62,6 @@ pub mod verify;
 pub use aggregate::{AggregationOptions, AggregationStats};
 pub use instr::{AggregateInstruction, InstructionOrigin};
 pub use mapping::Layout;
-pub use partition::{
-    PartitionOptions, PartitionPass, PartitionPlan, PartitionSummary, RegionTelemetry,
-};
 pub use passes::{
     CompileError, GatePricing, Pass, PassContext, PassReport, PassState, Pipeline, PipelineBuilder,
 };
@@ -84,4 +80,4 @@ pub use service::{
     compile_with_default_model, CachePolicy, CompileCacheStats, CompileService,
     DEFAULT_COMPILE_CACHE_CAPACITY,
 };
-pub use verify::{verify_compilation, verify_sampled_pulses, CircuitVerification};
+pub use verify::{verify_compilation, verify_sampled_pulses, CircuitVerification, VerifyError};

@@ -282,8 +282,6 @@ pub struct PassState {
     pub final_layout: Option<Layout>,
     /// Aggregation statistics; set by [`Aggregate`].
     pub aggregation: AggregationStats,
-    /// Partition telemetry; set by [`crate::partition::PartitionPass`].
-    pub partition: Option<crate::partition::PartitionSummary>,
     /// One report per executed pass, in execution order.
     pub reports: Vec<PassReport>,
 }
@@ -317,7 +315,7 @@ impl PassState {
 /// pass in this build claims (a snapshot from a diverged build — the decoder
 /// rejects it rather than inventing an interned string).
 pub fn intern_pass_name(name: &str) -> Option<&'static str> {
-    const KNOWN: [&str; 10] = [
+    const KNOWN: [&str; 9] = [
         "flatten",
         "commutativity-detection",
         "hand-optimization",
@@ -327,7 +325,6 @@ pub fn intern_pass_name(name: &str) -> Option<&'static str> {
         "final-cls",
         "price",
         "schedule",
-        "partition",
     ];
     KNOWN.iter().find(|&&k| k == name).copied()
 }

@@ -206,26 +206,6 @@ pub fn encode_result(result: &CompilationResult, out: &mut Vec<u8>) {
     }
     encode_layout(&result.initial_layout, out);
     encode_layout(&result.final_layout, out);
-    match &result.partition {
-        None => out.push(0),
-        Some(p) => {
-            out.push(1);
-            push_usize(out, p.requested_regions);
-            push_usize(out, p.regions.len());
-            for region in &p.regions {
-                push_usize(out, region.qubits.len());
-                for &q in &region.qubits {
-                    push_usize(out, q);
-                }
-                push_usize(out, region.instructions);
-                push_usize(out, region.gates);
-                out.extend_from_slice(&(region.wall_time.as_nanos() as u64).to_le_bytes());
-            }
-            push_f64(out, p.cut_weight);
-            push_usize(out, p.cut_instructions);
-            out.extend_from_slice(&(p.stitch_wall_time.as_nanos() as u64).to_le_bytes());
-        }
-    }
 }
 
 /// Decodes one [`CompilationResult`] written by [`encode_result`], consuming
@@ -304,41 +284,6 @@ pub fn decode_result(cur: &mut ByteCursor<'_>) -> Result<CompilationResult, Deco
     }
     let initial_layout = decode_layout(cur)?;
     let final_layout = decode_layout(cur)?;
-    let partition_offset = cur.offset();
-    let partition = match cur.u8("partition flag")? {
-        0 => None,
-        1 => {
-            let requested_regions = cur.len("partition requested regions")?;
-            let n_regions = cur.len("partition region count")?;
-            let mut regions = Vec::with_capacity(n_regions.min(1024));
-            for _ in 0..n_regions {
-                let n_qubits = cur.len("region qubit count")?;
-                let mut qubits = Vec::with_capacity(n_qubits.min(1024));
-                for _ in 0..n_qubits {
-                    qubits.push(cur.len("region qubit index")?);
-                }
-                regions.push(crate::partition::RegionTelemetry {
-                    qubits,
-                    instructions: cur.len("region instruction count")?,
-                    gates: cur.len("region gate count")?,
-                    wall_time: Duration::from_nanos(cur.u64("region wall time")?),
-                });
-            }
-            Some(crate::partition::PartitionSummary {
-                requested_regions,
-                regions,
-                cut_weight: cur.f64("partition cut weight")?,
-                cut_instructions: cur.len("partition cut instruction count")?,
-                stitch_wall_time: Duration::from_nanos(cur.u64("partition stitch wall time")?),
-            })
-        }
-        _ => {
-            return Err(DecodeError {
-                what: "partition flag",
-                offset: partition_offset,
-            })
-        }
-    };
     Ok(CompilationResult {
         strategy,
         instructions,
@@ -350,7 +295,6 @@ pub fn decode_result(cur: &mut ByteCursor<'_>) -> Result<CompilationResult, Deco
         reports,
         initial_layout,
         final_layout,
-        partition,
     })
 }
 
@@ -418,45 +362,5 @@ mod tests {
     fn unknown_pass_names_are_rejected() {
         assert_eq!(crate::passes::intern_pass_name("route"), Some("route"));
         assert_eq!(crate::passes::intern_pass_name("not-a-pass"), None);
-    }
-
-    #[test]
-    fn partition_telemetry_round_trips_through_the_codec() {
-        use crate::partition::PartitionOptions;
-        use crate::pipeline::{Compiler, CompilerOptions, Strategy};
-        use qcc_hw::{CalibratedLatencyModel, Device};
-        use qcc_ir::{Circuit, Gate};
-
-        let mut circuit = Circuit::new(4);
-        for q in 0..4 {
-            circuit.push(Gate::H, &[q]);
-        }
-        for q in 0..3 {
-            circuit.push(Gate::Cnot, &[q, q + 1]);
-        }
-        let device = Device::transmon_line(4);
-        let model = CalibratedLatencyModel::new(device.limits);
-        let compiler = Compiler::new(&device, &model);
-        let options = CompilerOptions::strategy(Strategy::ClsAggregation);
-        let result = compiler
-            .compile_partitioned(&circuit, &options, &PartitionOptions::new(2))
-            .expect("partitioned compile succeeds");
-        let summary = result.partition.as_ref().expect("telemetry attached");
-        assert_eq!(summary.requested_regions, 2);
-
-        let mut bytes = Vec::new();
-        encode_result(&result, &mut bytes);
-        let mut cur = ByteCursor::new(&bytes);
-        let decoded = decode_result(&mut cur).expect("decodes cleanly");
-        assert_eq!(cur.remaining(), 0, "self-delimiting");
-        assert_eq!(decoded.partition.as_ref(), Some(summary));
-        // A plain result still decodes to `partition: None`.
-        let mut plain = result.clone();
-        plain.partition = None;
-        let mut plain_bytes = Vec::new();
-        encode_result(&plain, &mut plain_bytes);
-        let decoded_plain =
-            decode_result(&mut ByteCursor::new(&plain_bytes)).expect("decodes cleanly");
-        assert!(decoded_plain.partition.is_none());
     }
 }

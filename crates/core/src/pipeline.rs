@@ -164,27 +164,6 @@ impl Strategy {
         };
         b.add(price).add(AsapSchedule).build()
     }
-
-    /// The preset recipe with the aggregation slot replaced by a
-    /// [`PartitionPass`](crate::partition::PartitionPass): routing prefix,
-    /// then region-parallel partitioned aggregation, then the same
-    /// [`FinalCls`](crate::passes::FinalCls)/pricing/scheduling tail as
-    /// [`pipeline`](Self::pipeline). Driven by
-    /// [`Compiler::compile_partitioned`]; see [`crate::partition`] for the
-    /// equivalence guarantees.
-    pub fn partitioned_pipeline(&self, partition: &crate::partition::PartitionOptions) -> Pipeline {
-        let mut b = self.routing_prefix_builder();
-        b = b.add(crate::partition::PartitionPass::new(partition.clone()));
-        if self.uses_aggregation() && self.uses_cls() {
-            b = b.add(crate::passes::FinalCls);
-        }
-        let price = if self.pulse_per_instruction() {
-            Price::per_instruction()
-        } else {
-            Price::per_gate(self.gate_pricing())
-        };
-        b.add(price).add(AsapSchedule).build()
-    }
 }
 
 impl fmt::Display for Strategy {
@@ -296,10 +275,6 @@ pub struct CompilationResult {
     /// gate counts after the pass (the material of Fig. 6) plus wall-clock
     /// timing.
     pub reports: Vec<PassReport>,
-    /// Partition telemetry (`None` unless the compile was partitioned via
-    /// [`Compiler::compile_partitioned`] or a custom pipeline containing a
-    /// [`PartitionPass`](crate::partition::PartitionPass)).
-    pub partition: Option<crate::partition::PartitionSummary>,
     /// The initial qubit layout used (identity when no routing pass ran).
     pub initial_layout: mapping::Layout,
     /// The final qubit layout (after routing SWAPs; identity when no routing
@@ -413,27 +388,6 @@ impl<'a> Compiler<'a> {
         options: &CompilerOptions,
     ) -> Result<CompilationResult, CompileError> {
         self.run_pipeline(&options.strategy.pipeline(), circuit, options)
-    }
-
-    /// Compiles `circuit` partitioned into `partition.regions` weakly coupled
-    /// regions compiled in parallel and stitched at the cut set
-    /// ([`Strategy::partitioned_pipeline`]; see [`crate::partition`] for the
-    /// mechanism and equivalence guarantees). With `regions = 1` — or under a
-    /// non-aggregating strategy at any `k` — the result is bit-identical to
-    /// [`try_compile`](Self::try_compile); the attached
-    /// [`PartitionSummary`](crate::partition::PartitionSummary) reports the
-    /// regions, cut weight, per-region wall clocks, and stitch overhead.
-    pub fn compile_partitioned(
-        &self,
-        circuit: &Circuit,
-        options: &CompilerOptions,
-        partition: &crate::partition::PartitionOptions,
-    ) -> Result<CompilationResult, CompileError> {
-        self.run_pipeline(
-            &options.strategy.partitioned_pipeline(partition),
-            circuit,
-            options,
-        )
     }
 
     /// Drives an explicit [`Pipeline`] — preset or custom-built via
@@ -595,7 +549,6 @@ pub(crate) fn finish(
         schedule,
         swap_count: state.swap_count,
         aggregation: state.aggregation,
-        partition: state.partition,
         reports: state.reports,
         initial_layout: state
             .initial_layout

@@ -8,7 +8,6 @@
 
 pub mod queue;
 
-use crate::partition::PartitionOptions;
 use crate::passes::{catch_panic, CompileError};
 use crate::persist::{self, COMPILE_SNAPSHOT_KIND};
 use crate::pipeline::{CompilationResult, Compiler, CompilerOptions};
@@ -85,13 +84,6 @@ pub struct CompileCacheStats {
     /// Signature counters currently holding a positive reuse prediction —
     /// the footprint of what the predictor has learned.
     pub trained_signatures: usize,
-    /// Partitioned requests accepted
-    /// ([`compile_partitioned`](CompileService::compile_partitioned)), cache
-    /// hits included.
-    pub partitioned: usize,
-    /// Regions actually compiled across partitioned requests (cache hits
-    /// excluded) — the fan-out the partition subsystem produced.
-    pub partition_regions: usize,
 }
 
 /// Lifetime request counters of one service, shared by the synchronous entry
@@ -102,8 +94,6 @@ struct ServiceCounters {
     completed: AtomicUsize,
     rejected: AtomicUsize,
     deadline_expired: AtomicUsize,
-    partitioned: AtomicUsize,
-    partition_regions: AtomicUsize,
 }
 
 /// One cached result plus the metadata the SHiP predictor trains on.
@@ -325,12 +315,7 @@ impl CompileCache {
 /// so the key stream stays prefix-free), the circuit's byte encoding, and
 /// every option that can change the output (strategy recipe, aggregation
 /// limits). The same circuit on two targets is therefore two keys.
-fn request_fingerprint(
-    target: &[u8],
-    circuit: &Circuit,
-    options: &CompilerOptions,
-    partition: Option<&PartitionOptions>,
-) -> Vec<u8> {
+fn request_fingerprint(target: &[u8], circuit: &Circuit, options: &CompilerOptions) -> Vec<u8> {
     let mut key = Vec::with_capacity(target.len() + circuit.len() * 20 + 72);
     key.extend_from_slice(&(target.len() as u64).to_le_bytes());
     key.extend_from_slice(target);
@@ -348,13 +333,6 @@ fn request_fingerprint(
     key.extend_from_slice(&(agg.max_merges as u64).to_le_bytes());
     key.push(agg.require_local_gain as u8);
     key.extend_from_slice(&(agg.search_window as u64).to_le_bytes());
-    // Partitioned requests get a suffix; plain requests keep the historical
-    // byte layout unchanged. Still injective: the aggregation tail above is
-    // fixed-width, so a plain key can never collide with a suffixed one.
-    if let Some(partition) = partition {
-        key.extend_from_slice(b"partition\0");
-        key.extend_from_slice(&(partition.regions as u64).to_le_bytes());
-    }
     key
 }
 
@@ -436,7 +414,7 @@ impl<'d> CompileService<'d> {
     /// The cache key of one request against this service's target: service
     /// fingerprint + circuit encoding + options (see [`request_fingerprint`]).
     pub(crate) fn request_key(&self, circuit: &Circuit, options: &CompilerOptions) -> Vec<u8> {
-        request_fingerprint(&self.fingerprint, circuit, options, None)
+        request_fingerprint(&self.fingerprint, circuit, options)
     }
 
     /// Sets the number of threads used for batch fan-out and parallel pricing
@@ -607,8 +585,6 @@ impl<'d> CompileService<'d> {
         stats.completed = self.counters.completed.load(Ordering::Relaxed);
         stats.rejected = self.counters.rejected.load(Ordering::Relaxed);
         stats.deadline_expired = self.counters.deadline_expired.load(Ordering::Relaxed);
-        stats.partitioned = self.counters.partitioned.load(Ordering::Relaxed);
-        stats.partition_regions = self.counters.partition_regions.load(Ordering::Relaxed);
         stats
     }
 
@@ -648,56 +624,6 @@ impl<'d> CompileService<'d> {
         let result = compile();
         self.counters.completed.fetch_add(1, Ordering::Relaxed);
         let result = result?;
-        self.cache.insert(key, Arc::new(result.clone()));
-        Ok(result)
-    }
-
-    /// Compiles one circuit partitioned into `partition.regions` regions
-    /// compiled in parallel ([`Compiler::compile_partitioned`]; see
-    /// [`crate::partition`]). Results are cached like
-    /// [`compile`](Self::compile)'s, under a key extended with the partition
-    /// options — a partitioned request never serves (or poisons) a
-    /// whole-circuit entry, even though with `regions = 1` the two results
-    /// are bit-identical. Counted in
-    /// [`CompileCacheStats::partitioned`]/[`CompileCacheStats::partition_regions`].
-    /// A panic fails only this request, as in [`compile`](Self::compile).
-    pub fn compile_partitioned(
-        &self,
-        circuit: &Circuit,
-        options: &CompilerOptions,
-        partition: &PartitionOptions,
-    ) -> Result<CompilationResult, CompileError> {
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        self.counters.partitioned.fetch_add(1, Ordering::Relaxed);
-        let record_regions = |result: &CompilationResult| {
-            let regions = result.partition.as_ref().map_or(0, |p| p.regions.len());
-            self.counters
-                .partition_regions
-                .fetch_add(regions, Ordering::Relaxed);
-        };
-        let compile = || {
-            catch_panic(|| {
-                self.compiler()
-                    .compile_partitioned(circuit, options, partition)
-            })
-        };
-        if !self.cache.enabled() {
-            let result = compile();
-            self.counters.completed.fetch_add(1, Ordering::Relaxed);
-            if let Ok(result) = &result {
-                record_regions(result);
-            }
-            return result;
-        }
-        let key = request_fingerprint(&self.fingerprint, circuit, options, Some(partition));
-        if let Some(hit) = self.cache.get(&key) {
-            self.counters.completed.fetch_add(1, Ordering::Relaxed);
-            return Ok((*hit).clone());
-        }
-        let result = compile();
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
-        let result = result?;
-        record_regions(&result);
         self.cache.insert(key, Arc::new(result.clone()));
         Ok(result)
     }

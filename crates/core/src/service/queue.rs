@@ -248,7 +248,6 @@ struct EngineState {
     /// pipeline; grown on demand to the longest submitted recipe.
     stages: Vec<VecDeque<Job>>,
     completed: HashMap<u64, Result<CompilationResult, ServiceError>>,
-    completion_order: Vec<Ticket>,
     /// Requests accepted but not yet completed (queued, staged, or running).
     outstanding: usize,
     next_ticket: u64,
@@ -274,7 +273,6 @@ impl Engine {
                 batch: VecDeque::new(),
                 stages: Vec::new(),
                 completed: HashMap::new(),
-                completion_order: Vec::new(),
                 outstanding: 0,
                 next_ticket: 0,
                 paused: config.start_paused,
@@ -294,7 +292,6 @@ impl Engine {
         result: Result<CompilationResult, ServiceError>,
     ) {
         st.completed.insert(ticket, result);
-        st.completion_order.push(Ticket(ticket));
         st.outstanding -= 1;
         self.done.notify_all();
         // outstanding hitting zero is what lets drained workers exit.
@@ -355,7 +352,6 @@ impl<'a, 'd> ServeHandle<'a, 'd> {
                     .completed
                     .fetch_add(1, Ordering::Relaxed);
                 st.completed.insert(ticket, Ok((*hit).clone()));
-                st.completion_order.push(Ticket(ticket));
                 self.engine.done.notify_all();
                 return Ok(Ticket(ticket));
             }
@@ -453,17 +449,6 @@ impl<'a, 'd> ServeHandle<'a, 'd> {
             .lock()
             .expect("serve engine poisoned")
             .outstanding
-    }
-
-    /// Tickets in the order their results completed — the observable record
-    /// of priority scheduling (and a debugging aid).
-    pub fn completion_order(&self) -> Vec<Ticket> {
-        self.engine
-            .state
-            .lock()
-            .expect("serve engine poisoned")
-            .completion_order
-            .clone()
     }
 }
 

@@ -4,105 +4,194 @@
 //!
 //! 1. **Circuit-level**: the compiled instruction stream implements the same
 //!    unitary as the input circuit, up to the qubit relabelling introduced by
-//!    the mapper (checked exactly with the state-vector simulator for circuits
-//!    small enough to simulate).
+//!    the mapper (checked by state-vector simulation for programs small
+//!    enough to simulate).
 //! 2. **Pulse-level**: a sample of aggregated instructions is handed to the
 //!    optimal-control unit and the resulting pulses are re-simulated and
 //!    compared against the instruction unitaries ("we sample 10 aggregated
 //!    instructions for each benchmark to verify that the control pulses of all
 //!    instructions produce the correct unitary").
 
-use crate::frontend;
 use crate::instr::AggregateInstruction;
 use crate::pipeline::CompilationResult;
 use qcc_control::{verify_pulse, GrapeLatencyModel, TransmonSystem};
 use qcc_hw::ControlLimits;
-use qcc_ir::Circuit;
-use qcc_math::CMatrix;
+use qcc_ir::{Circuit, Instruction};
+use qcc_math::C64;
+use qcc_sim::StateVector;
+use std::fmt;
+
+/// Widest register [`verify_compilation`] simulates: the physical qubits a
+/// program touches, or the input circuit's qubits if there are more.
+const MAX_QUBITS: usize = 16;
+
+/// Largest `1 − |⟨expected|actual⟩|` accepted as equivalent.
+const TOLERANCE: f64 = 1e-9;
+
+/// Seed of the random input state.
+const STATE_SEED: u64 = 0x5eed;
 
 /// Outcome of circuit-level verification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitVerification {
     /// Whether the compiled program matches the input circuit.
     pub equivalent: bool,
-    /// Maximum absolute deviation between the two unitaries after aligning
-    /// global phase and qubit relabelling.
+    /// `1 − |⟨expected|actual⟩|` for the simulated input state (see
+    /// [`verify_compilation`]): 0 for a correct program, up to 1 for one
+    /// whose output is orthogonal to the expected state.
     pub max_deviation: f64,
 }
 
-/// Verifies that a compilation result implements the input circuit.
-///
-/// The compiled program acts on physical qubits; logical qubit `l` starts at
-/// physical `initial_layout[l]` and ends at `final_layout[l]`. The check
-/// compares `P_final† · U_compiled · P_initial` against the original circuit
-/// unitary (up to global phase), where the `P`s are the corresponding qubit
-/// permutations.
-///
-/// # Panics
-///
-/// Panics if the circuit has more than 10 qubits (use sampling-based pulse
-/// verification for larger programs).
-pub fn verify_compilation(circuit: &Circuit, result: &CompilationResult) -> CircuitVerification {
-    assert!(
-        circuit.n_qubits() <= 10,
-        "circuit-level verification only supported up to 10 qubits"
-    );
-    let n_logical = circuit.n_qubits();
-    let n_physical = result
-        .instructions
-        .iter()
-        .flat_map(|i| i.qubits.iter().copied())
-        .max()
-        .map_or(n_logical, |m| (m + 1).max(n_logical));
+/// Why [`verify_compilation`] could not check a program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum VerifyError {
+    /// The program needs a wider register than the state-vector check
+    /// simulates (use sampling-based pulse verification instead).
+    TooLarge {
+        /// Qubits the check would simulate.
+        qubits: usize,
+        /// The most it simulates.
+        limit: usize,
+    },
+}
 
-    // Unitary of the compiled program on the physical register.
-    let compiled = frontend::to_circuit(&result.instructions, n_physical).unitary();
-
-    // Embed the original circuit on the physical register via the *initial*
-    // layout, then undo the relabelling produced by routing with the *final*
-    // layout: logical qubit l lives on initial_layout[l] at the start and on
-    // final_layout[l] at the end.
-    let mut original_embedded = Circuit::new(n_physical);
-    original_embedded.extend_mapped(circuit, &result.initial_layout.physical);
-    let original = original_embedded.unitary();
-
-    // Permutation matrix moving qubit initial_layout[l] to final_layout[l].
-    let perm = permutation_matrix(n_physical, |p| {
-        // Which logical qubit starts on physical p (if any)?
-        match result.initial_layout.physical.iter().position(|&x| x == p) {
-            Some(l) => result.final_layout.physical[l],
-            None => p,
+impl fmt::Display for VerifyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            VerifyError::TooLarge { qubits, limit } => write!(
+                f,
+                "circuit-level verification simulates at most {limit} qubits, this program needs {qubits}"
+            ),
         }
-    });
-    let expected = perm.matmul(&original);
-
-    let mut max_dev = 0.0f64;
-    let equivalent = compiled.approx_eq_up_to_phase(&expected, 1e-7);
-    if !equivalent {
-        // Report how far off we are (phase-aligned Frobenius-style max entry).
-        let dev = qcc_math::phase_invariant_distance(&compiled, &expected);
-        max_dev = dev;
-    }
-    CircuitVerification {
-        equivalent,
-        max_deviation: max_dev,
     }
 }
 
-/// Builds the permutation matrix sending basis qubit `p` to `dest(p)`.
-fn permutation_matrix(n_qubits: usize, dest: impl Fn(usize) -> usize) -> CMatrix {
-    let dim = 1usize << n_qubits;
-    let mut m = CMatrix::zeros(dim, dim);
-    for basis in 0..dim {
-        let mut image = 0usize;
-        for q in 0..n_qubits {
-            let bit = (basis >> (n_qubits - 1 - q)) & 1;
-            let d = dest(q);
-            image |= bit << (n_qubits - 1 - d);
-        }
-        m[(image, basis)] = qcc_math::C64::one();
+impl std::error::Error for VerifyError {}
+
+/// Verifies that a compilation result implements the input circuit.
+///
+/// The compiled program acts on physical qubits: logical qubit `l` starts on
+/// `initial_layout[l]` and ends on `final_layout[l]`, and routing SWAPs may
+/// move physical qubits that hold no logical qubit ("spare" qubits). The
+/// check simulates only the physical qubits the program touches, relabelled
+/// densely:
+///
+/// 1. draw a seeded random state ψ of the logical register;
+/// 2. expected: the input circuit applied to ψ, placed on the final
+///    positions, every other position in |0⟩;
+/// 3. actual: ψ on the initial positions, every spare qubit in |0⟩, then
+///    every constituent gate of the program in order;
+/// 4. equivalent when `1 − |⟨expected|actual⟩|` is within rounding of 0.
+///
+/// A random state separates two unitaries that differ by more than a global
+/// phase with probability one, so a single state suffices. A layout that
+/// does not put each logical qubit on its own physical qubit is reported as
+/// not equivalent, with deviation 1.
+///
+/// # Errors
+///
+/// [`VerifyError::TooLarge`] when the program touches more than 16 physical
+/// qubits or the circuit has more than 16 qubits.
+pub fn verify_compilation(
+    circuit: &Circuit,
+    result: &CompilationResult,
+) -> Result<CircuitVerification, VerifyError> {
+    let n = circuit.n_qubits();
+    let (initial, last) = (
+        &result.initial_layout.physical,
+        &result.final_layout.physical,
+    );
+    let gates: Vec<&Instruction> = result
+        .instructions
+        .iter()
+        .flat_map(|inst| inst.constituents.iter())
+        .collect();
+    let mut touched: Vec<usize> = gates
+        .iter()
+        .flat_map(|g| g.qubits.iter().copied())
+        .chain(initial.iter().copied())
+        .chain(last.iter().copied())
+        .collect();
+    touched.sort_unstable();
+    touched.dedup();
+    let m = touched.len();
+    if m.max(n) > MAX_QUBITS {
+        return Err(VerifyError::TooLarge {
+            qubits: m.max(n),
+            limit: MAX_QUBITS,
+        });
     }
-    m
+    let dense = |p: &usize| {
+        touched
+            .binary_search(p)
+            .expect("every physical qubit is in the touched set")
+    };
+    let start: Vec<usize> = initial.iter().map(dense).collect();
+    let end: Vec<usize> = last.iter().map(dense).collect();
+    if start.len() != n || end.len() != n || !all_distinct(&start) || !all_distinct(&end) {
+        return Ok(CircuitVerification {
+            equivalent: false,
+            max_deviation: 1.0,
+        });
+    }
+
+    let psi = random_state(n, STATE_SEED);
+    let mut reference = psi.clone();
+    reference.apply_circuit(circuit);
+
+    let mut actual = StateVector::from_amplitudes(embed(psi.amplitudes(), n, m, &start));
+    for gate in gates {
+        let qubits = gate.qubits.iter().map(dense).collect();
+        actual.apply_instruction(&Instruction::new(gate.gate, qubits));
+    }
+    let expected = StateVector::from_amplitudes(embed(reference.amplitudes(), n, m, &end));
+    let max_deviation = 1.0 - expected.inner(&actual).abs();
+    Ok(CircuitVerification {
+        equivalent: max_deviation <= TOLERANCE,
+        max_deviation,
+    })
+}
+
+fn all_distinct(qubits: &[usize]) -> bool {
+    let mut sorted = qubits.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).all(|w| w[0] != w[1])
+}
+
+/// A normalized random state of `n` qubits drawn from `seed` with
+/// SplitMix64, each amplitude's parts uniform in [-1, 1) before
+/// normalization.
+fn random_state(n: usize, mut seed: u64) -> StateVector {
+    let mut uniform = || {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    };
+    let amplitudes = (0..1usize << n)
+        .map(|_| C64::new(uniform(), uniform()))
+        .collect();
+    StateVector::from_amplitudes(amplitudes)
+}
+
+/// Places the amplitudes of an `n`-qubit register on an `m`-qubit register,
+/// logical qubit `l` on position `positions[l]`, every other position |0⟩.
+/// Indices are big-endian, as in [`StateVector`]: qubit 0 is the most
+/// significant bit.
+fn embed(amplitudes: &[C64], n: usize, m: usize, positions: &[usize]) -> Vec<C64> {
+    let mut out = vec![C64::zero(); 1 << m];
+    for (basis, &amp) in amplitudes.iter().enumerate() {
+        let mut index = 0usize;
+        for (l, &p) in positions.iter().enumerate() {
+            if (basis >> (n - 1 - l)) & 1 == 1 {
+                index |= 1 << (m - 1 - p);
+            }
+        }
+        out[index] = amp;
+    }
+    out
 }
 
 /// Outcome of pulse-level verification of one instruction.
@@ -192,7 +281,7 @@ mod tests {
         let compiler = Compiler::new(&device, &model);
         for strategy in Strategy::all() {
             let result = compiler.compile(&circuit, &CompilerOptions::strategy(strategy));
-            let check = verify_compilation(&circuit, &result);
+            let check = verify_compilation(&circuit, &result).expect("3 qubits simulate");
             assert!(
                 check.equivalent,
                 "{strategy:?} broke the circuit (deviation {})",
@@ -210,17 +299,9 @@ mod tests {
         let mut result = compiler.compile(&circuit, &CompilerOptions::strategy(Strategy::Cls));
         // Corrupt the program by dropping an instruction.
         result.instructions.pop();
-        let check = verify_compilation(&circuit, &result);
+        let check = verify_compilation(&circuit, &result).expect("3 qubits simulate");
         assert!(!check.equivalent);
         assert!(check.max_deviation > 1e-3);
-    }
-
-    #[test]
-    fn permutation_matrix_is_a_permutation() {
-        let m = permutation_matrix(3, |q| (q + 1) % 3);
-        assert!(m.is_unitary(1e-12));
-        // |100> (q0=1) should map to |010> (q1=1): index 4 -> 2.
-        assert!((m[(2, 4)].re - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -31,4 +31,4 @@ pub mod partition;
 
 pub use graph::Graph;
 pub use matching::{greedy_maximal_matching, improved_matching, is_maximal_matching, Matching};
-pub use partition::{bisect, k_way_partition, recursive_bisection_order, Bisection};
+pub use partition::{bisect, recursive_bisection_order, Bisection};

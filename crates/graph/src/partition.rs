@@ -198,52 +198,6 @@ fn recurse(original: &Graph, vertices: &[usize], order: &mut Vec<usize>) {
     recurse(original, &right, order);
 }
 
-/// Partitions the graph into `k` roughly equal parts by recursive bisection.
-///
-/// Total by construction — callers pass user-supplied `k` straight through:
-/// `k == 0` yields no parts (an empty vector, never a panic), `k == 1` yields
-/// one part holding every vertex, and `k` larger than the vertex count yields
-/// `k` parts of which the trailing ones are empty. Empty and disconnected
-/// graphs partition like any other (the bisection order covers every vertex,
-/// connected or not). Every vertex appears in exactly one part.
-pub fn k_way_partition(g: &Graph, k: usize) -> Vec<Vec<usize>> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let order = recursive_bisection_order(g);
-    let n = order.len();
-    let mut parts = vec![Vec::new(); k];
-    for (i, v) in order.into_iter().enumerate() {
-        // Consecutive blocks of the bisection order become the parts; this keeps
-        // tightly coupled vertices in the same part.
-        let part = (i * k) / n.max(1);
-        parts[part.min(k - 1)].push(v);
-    }
-    parts
-}
-
-/// Total weight of edges whose endpoints land in different parts of a k-way
-/// partition (self-loops never count). Vertices missing from every part are
-/// treated as isolated: edges touching them are not counted.
-pub fn k_way_cut_weight(g: &Graph, parts: &[Vec<usize>]) -> f64 {
-    let mut part_of = vec![usize::MAX; g.len()];
-    for (p, part) in parts.iter().enumerate() {
-        for &v in part {
-            part_of[v] = p;
-        }
-    }
-    g.edges()
-        .iter()
-        .filter(|(a, b, _)| {
-            a != b
-                && part_of[*a] != usize::MAX
-                && part_of[*b] != usize::MAX
-                && part_of[*a] != part_of[*b]
-        })
-        .map(|(_, _, w)| *w)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,18 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn k_way_partition_sizes() {
-        let g = two_cliques();
-        let parts = k_way_partition(&g, 4);
-        assert_eq!(parts.len(), 4);
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        assert_eq!(total, 8);
-        for p in &parts {
-            assert!(p.len() == 2, "unbalanced part: {:?}", parts);
-        }
-    }
-
-    #[test]
     fn empty_and_single_vertex_graphs() {
         let g = Graph::new(0);
         assert!(recursive_bisection_order(&g).is_empty());
@@ -340,74 +282,5 @@ mod tests {
         let g = Graph::new(7);
         let order = recursive_bisection_order(&g);
         assert_eq!(order.len(), 7);
-        let parts = k_way_partition(&g, 3);
-        assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), 7);
-    }
-
-    #[test]
-    fn k_zero_yields_no_parts_instead_of_panicking() {
-        assert!(k_way_partition(&two_cliques(), 0).is_empty());
-        assert!(k_way_partition(&Graph::new(0), 0).is_empty());
-    }
-
-    #[test]
-    fn k_one_is_the_whole_vertex_set() {
-        let parts = k_way_partition(&two_cliques(), 1);
-        assert_eq!(parts.len(), 1);
-        let mut all = parts[0].clone();
-        all.sort_unstable();
-        assert_eq!(all, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn k_larger_than_vertex_count_pads_with_empty_parts() {
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1, 1.0);
-        let parts = k_way_partition(&g, 7);
-        assert_eq!(parts.len(), 7);
-        assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), 3);
-        // Every vertex appears exactly once.
-        let mut all: Vec<usize> = parts.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2]);
-        assert!(parts.iter().filter(|p| p.is_empty()).count() >= 4);
-    }
-
-    #[test]
-    fn empty_graph_partitions_into_empty_parts() {
-        let parts = k_way_partition(&Graph::new(0), 4);
-        assert_eq!(parts.len(), 4);
-        assert!(parts.iter().all(|p| p.is_empty()));
-    }
-
-    #[test]
-    fn disconnected_graph_covers_every_component() {
-        // Two disjoint triangles plus two isolated vertices.
-        let mut g = Graph::new(8);
-        for &(a, b) in &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
-            g.add_edge(a, b, 1.0);
-        }
-        for k in 1..=5 {
-            let parts = k_way_partition(&g, k);
-            let mut all: Vec<usize> = parts.iter().flatten().copied().collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..8).collect::<Vec<_>>(), "k={k}");
-        }
-    }
-
-    #[test]
-    fn k_way_cut_weight_counts_only_crossing_edges() {
-        let g = two_cliques();
-        // The natural 2-way split cuts only the bridge.
-        let parts = vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]];
-        assert!((k_way_cut_weight(&g, &parts) - 1.0).abs() < 1e-9);
-        // One part: nothing crosses.
-        let one = vec![(0..8).collect::<Vec<_>>()];
-        assert_eq!(k_way_cut_weight(&g, &one), 0.0);
-        // Splitting a clique in half cuts its 2x2 internal edges plus the bridge.
-        let skew = vec![vec![0, 1, 4, 5], vec![2, 3, 6, 7]];
-        assert!(k_way_cut_weight(&g, &skew) > 1.0);
-        // Empty partition list: every vertex unassigned, nothing counted.
-        assert_eq!(k_way_cut_weight(&g, &[]), 0.0);
     }
 }

@@ -61,13 +61,4 @@ proptest! {
             }
         }
     }
-
-    /// k-way partitioning never loses or duplicates vertices.
-    #[test]
-    fn k_way_is_exhaustive(g in arbitrary_graph(), k in 1usize..5) {
-        let parts = partition::k_way_partition(&g, k);
-        let mut all: Vec<usize> = parts.iter().flatten().copied().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..g.len()).collect::<Vec<_>>());
-    }
 }

@@ -216,20 +216,6 @@ impl Circuit {
         self
     }
 
-    /// Appends `other` with its qubit `i` mapped to `mapping[i]` of `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mapping is too short or out of range.
-    pub fn extend_mapped(&mut self, other: &Circuit, mapping: &[usize]) -> &mut Self {
-        assert!(mapping.len() >= other.n_qubits, "mapping too short");
-        for inst in other.instructions() {
-            let qubits: Vec<usize> = inst.qubits.iter().map(|&q| mapping[q]).collect();
-            self.push(inst.gate, &qubits);
-        }
-        self
-    }
-
     /// The inverse circuit (reversed order, each gate daggered).
     pub fn inverse(&self) -> Circuit {
         let mut inv = Circuit::new(self.n_qubits);
@@ -285,22 +271,6 @@ impl Circuit {
             *counts.entry(inst.gate.name()).or_insert(0) += 1;
         }
         counts
-    }
-
-    /// The qubit-interaction graph: one vertex per qubit, edge weight = number
-    /// of two-qubit instructions between the pair. Used by the mapper.
-    pub fn interaction_edges(&self) -> Vec<(usize, usize, f64)> {
-        let mut weights: HashMap<(usize, usize), f64> = HashMap::new();
-        for inst in &self.instructions {
-            if inst.qubits.len() == 2 {
-                let (a, b) = (
-                    inst.qubits[0].min(inst.qubits[1]),
-                    inst.qubits[0].max(inst.qubits[1]),
-                );
-                *weights.entry((a, b)).or_insert(0.0) += 1.0;
-            }
-        }
-        weights.into_iter().map(|((a, b), w)| (a, b, w)).collect()
     }
 
     /// Builds the full `2^n × 2^n` unitary of the circuit.
@@ -546,28 +516,6 @@ mod tests {
         let mut full = c.clone();
         full.extend(&c.inverse());
         assert!(full.unitary().is_identity_up_to_phase(1e-10));
-    }
-
-    #[test]
-    fn extend_mapped_remaps_qubits() {
-        let mut small = Circuit::new(2);
-        small.push(Gate::Cnot, &[0, 1]);
-        let mut big = Circuit::new(4);
-        big.extend_mapped(&small, &[3, 1]);
-        assert_eq!(big.instructions()[0].qubits, vec![3, 1]);
-    }
-
-    #[test]
-    fn interaction_edges_accumulate_weights() {
-        let mut c = Circuit::new(3);
-        c.push(Gate::Cnot, &[0, 1]);
-        c.push(Gate::Cnot, &[1, 0]);
-        c.push(Gate::Cz, &[1, 2]);
-        let mut edges = c.interaction_edges();
-        edges.sort_by_key(|e| (e.0, e.1));
-        assert_eq!(edges.len(), 2);
-        assert_eq!(edges[0].0, 0);
-        assert!((edges[0].2 - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -54,18 +54,6 @@ pub fn frobenius_distance(a: &CMatrix, b: &CMatrix) -> f64 {
     (a - b).frobenius_norm()
 }
 
-/// Phase-insensitive distance: minimum Frobenius distance over a global phase,
-/// `min_φ ‖A - e^{iφ}B‖_F`.
-pub fn phase_invariant_distance(a: &CMatrix, b: &CMatrix) -> f64 {
-    let overlap = b.hs_inner(a);
-    let phase = if overlap.abs() < 1e-300 {
-        C64::one()
-    } else {
-        overlap / C64::real(overlap.abs())
-    };
-    frobenius_distance(a, &b.scale(phase))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,7 +76,6 @@ mod tests {
         let x = pauli_x();
         let phased = x.scale(C64::cis(2.13));
         assert!((gate_fidelity(&x, &phased) - 1.0).abs() < 1e-13);
-        assert!(phase_invariant_distance(&x, &phased) < 1e-12);
     }
 
     #[test]

@@ -38,8 +38,7 @@ pub mod random;
 pub use complex::{c64, C64};
 pub use expm::{expm, expm_with, propagator, try_expm, try_expm_with, ExpmWorkspace};
 pub use fidelity::{
-    average_gate_fidelity, frobenius_distance, gate_fidelity, gate_infidelity,
-    phase_invariant_distance, state_fidelity,
+    average_gate_fidelity, frobenius_distance, gate_fidelity, gate_infidelity, state_fidelity,
 };
 pub use linalg::{det, inverse, solve, solve_matrix, LinalgError, LuDecomposition};
 pub use matrix::CMatrix;

@@ -7,16 +7,13 @@
 //! (any other value is a startup error). Set `QCC_STRATEGY=<name>` (e.g.
 //! `cls`, `cls+aggregation` — any name `Strategy::from_str` accepts) to sweep
 //! a single strategy normalized against the always-included ISA baseline,
-//! with no code edits. A partitioned column rides along: the widest suite
-//! circuit is also compiled cut into `QCC_PARTITIONS` regions (default 2; any
-//! non-integer value is a startup error).
+//! with no code edits.
 
 use qcc::compiler::{
-    AggregationOptions, CompileService, CompilerOptions, PartitionOptions, Priority, ServeConfig,
-    Strategy, SubmitOptions,
+    AggregationOptions, CompileService, CompilerOptions, Priority, ServeConfig, Strategy,
+    SubmitOptions,
 };
 use qcc::workloads::{standard_suite, SuiteScale};
-use qcc_bench::partitions_from_env;
 
 fn main() {
     let scale = SuiteScale::parse_env(
@@ -98,31 +95,4 @@ fn main() {
         println!(" {:>6}", swaps);
     }
     println!("\nLower is better (normalized to the gate-based ISA baseline).");
-
-    // Partitioned lane on the widest circuit of the suite: cut into k
-    // regions, compiled region-parallel, stitched at the seams.
-    let k = partitions_from_env(2);
-    let widest = suite
-        .iter()
-        .max_by_key(|b| b.n_qubits())
-        .expect("suite is non-empty");
-    let device = qcc::hw::Device::transmon_grid(widest.n_qubits());
-    let service = CompileService::new(&device);
-    let options = CompilerOptions::strategy(Strategy::ClsAggregation);
-    let whole = service
-        .compile(&widest.circuit, &options)
-        .expect("device sized for benchmark");
-    let part = service
-        .compile_partitioned(&widest.circuit, &options, &PartitionOptions::new(k))
-        .expect("device sized for benchmark");
-    let summary = part.partition.as_ref().expect("partitioned telemetry");
-    println!(
-        "\nPartitioned lane ({}, k={k}): {} regions, cut weight {:.1}, \
-         stitch {:.1} µs, makespan {:.3}× whole-circuit",
-        widest.name,
-        summary.regions.len(),
-        summary.cut_weight,
-        summary.stitch_wall_time.as_secs_f64() * 1e6,
-        part.total_latency_ns / whole.total_latency_ns,
-    );
 }

@@ -1,11 +1,14 @@
 //! Cross-crate integration tests: the full pipeline on the paper's worked
 //! example and on small instances of every benchmark family.
 
-use qcc::compiler::{verify_compilation, AggregationOptions, Compiler, CompilerOptions, Strategy};
+use qcc::compiler::{
+    verify_compilation, AggregationOptions, Compiler, CompilerOptions, Strategy, VerifyError,
+};
 use qcc::hw::{CalibratedLatencyModel, Device};
+use qcc::ir::{Circuit, Gate};
 use qcc::workloads::{ising, qaoa, qft, uccsd};
 
-fn compile(circuit: &qcc::ir::Circuit, strategy: Strategy) -> qcc::compiler::CompilationResult {
+fn compile(circuit: &Circuit, strategy: Strategy) -> qcc::compiler::CompilationResult {
     let device = Device::transmon_grid(circuit.n_qubits());
     let model = CalibratedLatencyModel::new(device.limits);
     let compiler = Compiler::new(&device, &model);
@@ -66,28 +69,55 @@ fn strategy_ordering_holds_on_every_small_benchmark() {
 
 #[test]
 fn compilation_preserves_semantics_for_all_strategies() {
-    let circuits = vec![
-        qaoa::maxcut_line(5),
-        ising::ising_chain(5),
-        uccsd::uccsd_benchmark(4),
-        qft::qft(4),
+    // Line devices exercise routing SWAPs; on the grids routing also moves
+    // physical qubits that hold no logical qubit.
+    let on_line = |circuit: Circuit| {
+        let device = Device::transmon_line(circuit.n_qubits());
+        (circuit, device)
+    };
+    let cases = vec![
+        on_line(qaoa::maxcut_line(5)),
+        on_line(ising::ising_chain(5)),
+        on_line(uccsd::uccsd_benchmark(4)),
+        on_line(qft::qft(4)),
+        (qaoa::maxcut_reg4(8, 7), Device::transmon_grid(9)),
+        (ising::ising_chain(7), Device::transmon_grid(9)),
+        (qaoa::maxcut_line(6), Device::transmon_grid(12)),
     ];
-    for circuit in circuits {
+    for (circuit, device) in cases {
         for strategy in Strategy::all() {
-            // Use a line device so routing SWAPs are exercised.
-            let device = Device::transmon_line(circuit.n_qubits());
             let model = CalibratedLatencyModel::new(device.limits);
             let compiler = Compiler::new(&device, &model);
             let result = compiler.compile(&circuit, &CompilerOptions::strategy(strategy));
-            let check = verify_compilation(&circuit, &result);
+            let check = verify_compilation(&circuit, &result).expect("small enough to simulate");
             assert!(
                 check.equivalent,
-                "{strategy:?} corrupted a {}-qubit circuit (deviation {:.3e})",
+                "{strategy:?} corrupted a {}-qubit circuit on {} physical qubits (deviation {:.3e})",
                 circuit.n_qubits(),
+                device.n_qubits(),
                 check.max_deviation
             );
         }
     }
+}
+
+#[test]
+fn programs_wider_than_the_simulator_are_a_typed_verify_error() {
+    let mut circuit = Circuit::new(17);
+    for q in 0..16 {
+        circuit.push(Gate::Cnot, &[q, q + 1]);
+    }
+    let device = Device::transmon_line(17);
+    let model = CalibratedLatencyModel::new(device.limits);
+    let result = Compiler::new(&device, &model)
+        .compile(&circuit, &CompilerOptions::strategy(Strategy::IsaBaseline));
+    assert_eq!(
+        verify_compilation(&circuit, &result),
+        Err(VerifyError::TooLarge {
+            qubits: 17,
+            limit: 16
+        })
+    );
 }
 
 #[test]

@@ -8,9 +8,8 @@
 mod common;
 
 use qcc::compiler::{
-    AggregationOptions, CompileError, CompileService, Compiler, CompilerOptions, PartitionOptions,
-    PassProgress, Priority, ServeConfig, ServiceError, Strategy, SubmitOptions,
-    DEFAULT_STAGE_CAPACITY,
+    AggregationOptions, CompileError, CompileService, Compiler, CompilerOptions, PassProgress,
+    Priority, ServeConfig, ServiceError, Strategy, SubmitOptions, DEFAULT_STAGE_CAPACITY,
 };
 use qcc::control::GrapeLatencyModel;
 use qcc::hw::{CalibratedLatencyModel, Device};
@@ -182,7 +181,10 @@ fn interactive_requests_are_admitted_before_queued_batch_work() {
         start_paused: true,
         ..ServeConfig::default()
     };
-    service.serve(config, |handle| {
+    // One progress channel for every request: with a single worker, events
+    // arrive in execution order.
+    let (tx, rx) = mpmc::bounded::<PassProgress>(64);
+    let urgent = service.serve(config, |handle| {
         // Queue three batch requests first, then one interactive request.
         // With admission paused nothing has started, so on resume the single
         // worker must pick the interactive one first.
@@ -192,7 +194,9 @@ fn interactive_requests_are_admitted_before_queued_batch_work() {
                     .submit(
                         &ising::ising_chain(n),
                         &options,
-                        SubmitOptions::default().priority(Priority::Batch),
+                        SubmitOptions::default()
+                            .priority(Priority::Batch)
+                            .progress(tx.clone()),
                     )
                     .expect("queue has room")
             })
@@ -201,7 +205,9 @@ fn interactive_requests_are_admitted_before_queued_batch_work() {
             .submit(
                 &qaoa::maxcut_line(5),
                 &options,
-                SubmitOptions::default().priority(Priority::Interactive),
+                SubmitOptions::default()
+                    .priority(Priority::Interactive)
+                    .progress(tx.clone()),
             )
             .expect("queue has room");
         handle.resume();
@@ -209,13 +215,19 @@ fn interactive_requests_are_admitted_before_queued_batch_work() {
             assert!(handle.wait(*t).is_ok());
         }
         assert!(handle.wait(urgent).is_ok());
-        let order = handle.completion_order();
-        assert_eq!(
-            order.first(),
-            Some(&urgent),
-            "the interactive request must finish before any batch request: {order:?}"
-        );
+        urgent
     });
+    let order: Vec<_> = rx.drain().into_iter().map(|e| e.ticket).collect();
+    let passes = options.strategy.pipeline().len();
+    assert_eq!(
+        order.len(),
+        4 * passes,
+        "one event per pass of every request"
+    );
+    assert!(
+        order[..passes].iter().all(|&t| t == urgent),
+        "the interactive request must run every pass before any batch request: {order:?}"
+    );
 }
 
 #[test]
@@ -368,25 +380,19 @@ fn a_panicking_model_fails_its_ticket_and_the_worker_keeps_serving() {
 
 #[test]
 fn a_panicking_model_fails_only_its_synchronous_request() {
-    // The synchronous front doors contain a panic like the serve workers do:
+    // The synchronous front door contains a panic like the serve workers do:
     // the request fails with `Panicked` and still counts as completed.
     let device = Device::transmon_line(4);
     let model = common::PoisonedModel(CalibratedLatencyModel::new(device.limits));
     let service = CompileService::with_model(&device, Box::new(model));
     let options = CompilerOptions::strategy(Strategy::ClsAggregation);
     let poisoned = common::poisoned(&ising::ising_chain(4));
-    let outcomes = [
-        service.compile(&poisoned, &options),
-        service.compile_partitioned(&poisoned, &options, &PartitionOptions::new(2)),
-    ];
-    for outcome in outcomes {
-        match outcome {
-            Err(CompileError::Panicked { message }) => {
-                assert!(message.contains("marker gate"), "{message}")
-            }
-            other => panic!("expected a panicked compile, got {other:?}"),
+    match service.compile(&poisoned, &options) {
+        Err(CompileError::Panicked { message }) => {
+            assert!(message.contains("marker gate"), "{message}")
         }
+        other => panic!("expected a panicked compile, got {other:?}"),
     }
     let stats = service.compile_cache_stats();
-    assert_eq!((stats.submitted, stats.completed), (2, 2));
+    assert_eq!((stats.submitted, stats.completed), (1, 1));
 }

@@ -62,7 +62,7 @@ fn every_strategy_preserves_circuit_semantics() {
     for strategy in Strategy::all() {
         let result =
             compile_with_default_model(&circuit, &device, &CompilerOptions::strategy(strategy));
-        let check = verify_compilation(&circuit, &result);
+        let check = verify_compilation(&circuit, &result).expect("3 qubits simulate");
         assert!(
             check.equivalent,
             "{}: compiled program must be semantically equivalent (max deviation {})",
