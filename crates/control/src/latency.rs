@@ -7,14 +7,19 @@
 //! instruction latency. Instructions wider than `max_qubits` fall back to the
 //! analytic calibrated model, matching the paper's observation that numerical
 //! optimal control does not scale past ~10 qubits (§2.5).
+//!
+//! Solves are cached by instruction *shape*: every input of a solve depends
+//! only on the instruction relabelled onto its sorted support, where each
+//! qubit becomes its rank, so `CNOT(3,7)` and `CNOT(0,1)` share one solve.
 
 use crate::grape::{GrapeConfig, GrapeOptimizer, GrapeResult};
 use crate::hamiltonian::TransmonSystem;
 use parking_lot::Mutex;
 use qcc_hw::persist::SnapshotWriter;
 use qcc_hw::{CalibratedLatencyModel, ControlLimits, LatencyModel, PersistError, PricingStats};
-use qcc_ir::{ByteCursor, Instruction};
+use qcc_ir::{ByteCursor, DecodeError, Instruction};
 use qcc_math::{gate_fidelity, CMatrix};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,6 +34,9 @@ const CACHE_SHARDS: usize = 16;
 /// Snapshot kind tag for the GRAPE solve cache (see [`qcc_hw::persist`]).
 pub const GRAPE_SNAPSHOT_KIND: &str = "grape-latency-cache";
 
+/// One shard: canonical byte keys to their compute-once latency slots.
+type CacheShard = HashMap<Vec<u8>, Arc<OnceLock<f64>>>;
+
 /// A sharded, compute-once latency cache.
 ///
 /// Each key hashes (with the deterministic [`std::hash::DefaultHasher`]) to
@@ -38,9 +46,6 @@ pub const GRAPE_SNAPSHOT_KIND: &str = "grape-latency-cache";
 /// GRAPE solve runs inside `OnceLock::get_or_init` *outside* any shard lock.
 /// Concurrent callers of the same key block on the slot — not the shard — so
 /// every key is solved exactly once and other keys keep flowing.
-/// One shard: byte keys to their compute-once latency slots.
-type CacheShard = HashMap<Vec<u8>, Arc<OnceLock<f64>>>;
-
 struct ShardedLatencyCache {
     shards: Vec<Mutex<CacheShard>>,
 }
@@ -55,12 +60,16 @@ impl ShardedLatencyCache {
     }
 
     /// Fetches the compute-once slot for `key`, inserting an empty one if the
-    /// key is new (occupied entries take the fast path: one lock, one clone).
-    fn slot(&self, key: Vec<u8>) -> Arc<OnceLock<f64>> {
+    /// key is new. Occupied entries take the fast path: one lock, a probe
+    /// with the borrowed key, one clone — no allocation.
+    fn slot(&self, key: &[u8]) -> Arc<OnceLock<f64>> {
         let mut hasher = std::hash::DefaultHasher::new();
         key.hash(&mut hasher);
-        let shard = &self.shards[hasher.finish() as usize % CACHE_SHARDS];
-        shard.lock().entry(key).or_default().clone()
+        let mut shard = self.shards[hasher.finish() as usize % CACHE_SHARDS].lock();
+        if let Some(slot) = shard.get(key) {
+            return slot.clone();
+        }
+        shard.entry(key.to_vec()).or_default().clone()
     }
 
     /// Number of cached keys across all shards (including in-flight solves).
@@ -84,10 +93,58 @@ impl ShardedLatencyCache {
 
     /// Seeds `key` with `value` unless the key already has a slot (occupied
     /// or in-flight) — a warm start never overwrites live state.
-    fn seed(&self, key: Vec<u8>, value: f64) {
-        let slot = self.slot(key);
-        let _ = slot.set(value);
+    fn seed(&self, key: &[u8], value: f64) {
+        let _ = self.slot(key).set(value);
     }
+}
+
+thread_local! {
+    /// This thread's key buffer and qubit-support scratch, reused by every
+    /// lookup so that a cache hit allocates nothing.
+    static KEY_SCRATCH: RefCell<(Vec<u8>, Vec<usize>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Fills `support` with the sorted, deduplicated qubits of `constituents`.
+fn sorted_support(constituents: &[Instruction], support: &mut Vec<usize>) {
+    support.clear();
+    for inst in constituents {
+        for &q in &inst.qubits {
+            if !support.contains(&q) {
+                support.push(q);
+            }
+        }
+    }
+    support.sort_unstable();
+}
+
+/// Rank of `q` in a sorted `support` that contains it.
+fn rank(support: &[usize], q: usize) -> usize {
+    support.binary_search(&q).expect("qubit in support")
+}
+
+/// The canonical form of an instruction list: the same gates in the same
+/// order, with every qubit replaced by its rank in the list's sorted
+/// support. This is the placement a cache miss solves.
+fn canonical_form(constituents: &[Instruction]) -> Vec<Instruction> {
+    let mut support = Vec::new();
+    sorted_support(constituents, &mut support);
+    constituents
+        .iter()
+        .map(|inst| Instruction {
+            gate: inst.gate,
+            qubits: inst.qubits.iter().map(|&q| rank(&support, q)).collect(),
+        })
+        .collect()
+}
+
+/// One snapshot record: the key's length, the key, and the latency's bits.
+fn record_payload(key: &[u8], latency: f64) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(key.len() + 16);
+    payload.extend_from_slice(&(key.len() as u64).to_le_bytes());
+    payload.extend_from_slice(key);
+    payload.extend_from_slice(&latency.to_bits().to_le_bytes());
+    payload
 }
 
 /// Latency model that runs the GRAPE optimal-control unit for small
@@ -101,11 +158,14 @@ pub struct GrapeLatencyModel {
     max_qubits: usize,
     /// Bisection rounds in the minimal-time search.
     refinement_rounds: usize,
+    /// Solve cache keyed by instruction shape (see
+    /// [`cache_key`](Self::cache_key)).
     cache: ShardedLatencyCache,
     /// Byte encoding of everything that parameterizes a solve besides the
-    /// instruction list itself — prefixed to every cache key so models with
-    /// different calibrations never alias (see [`cache_key`](Self::cache_key)).
-    key_prefix: Vec<u8>,
+    /// instruction list itself. Each model owns its cache, so the keys leave
+    /// it out; it names and guards this model's snapshot files, so a model
+    /// with a different calibration never loads them.
+    fingerprint: Vec<u8>,
     /// Number of pricing computations actually performed (cache misses).
     solves: AtomicUsize,
     /// Number of pricing queries answered (single and batched, hits included).
@@ -127,7 +187,7 @@ impl GrapeLatencyModel {
         let refinement_rounds = 3;
         Self {
             fallback: CalibratedLatencyModel::new(limits),
-            key_prefix: Self::solver_prefix(&limits, &grape, max_qubits, refinement_rounds),
+            fingerprint: Self::solver_fingerprint(&limits, &grape, max_qubits, refinement_rounds),
             limits,
             grape,
             max_qubits,
@@ -141,29 +201,29 @@ impl GrapeLatencyModel {
     /// Byte encoding of the solver configuration: control limits, every
     /// [`GrapeConfig`] field, the numeric-width cutoff, and the bisection
     /// depth. Two models that could return different latencies for the same
-    /// instruction list get different prefixes, so their cache entries and
-    /// snapshots never collide.
-    fn solver_prefix(
+    /// instruction list get different fingerprints, so neither loads the
+    /// other's snapshots.
+    fn solver_fingerprint(
         limits: &ControlLimits,
         grape: &GrapeConfig,
         max_qubits: usize,
         refinement_rounds: usize,
     ) -> Vec<u8> {
-        let mut prefix = Vec::with_capacity(96);
-        limits.encode_into(&mut prefix);
-        prefix.extend_from_slice(&(grape.max_iterations as u64).to_le_bytes());
+        let mut fingerprint = Vec::with_capacity(104);
+        limits.encode_into(&mut fingerprint);
+        fingerprint.extend_from_slice(&(grape.max_iterations as u64).to_le_bytes());
         for v in [
             grape.target_fidelity,
             grape.learning_rate,
             grape.dt,
             grape.init_scale,
         ] {
-            prefix.extend_from_slice(&v.to_bits().to_le_bytes());
+            fingerprint.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        prefix.extend_from_slice(&grape.seed.to_le_bytes());
-        prefix.extend_from_slice(&(max_qubits as u64).to_le_bytes());
-        prefix.extend_from_slice(&(refinement_rounds as u64).to_le_bytes());
-        prefix
+        fingerprint.extend_from_slice(&grape.seed.to_le_bytes());
+        fingerprint.extend_from_slice(&(max_qubits as u64).to_le_bytes());
+        fingerprint.extend_from_slice(&(refinement_rounds as u64).to_le_bytes());
+        fingerprint
     }
 
     /// Model with the paper's control limits and a fast GRAPE profile, limited
@@ -172,48 +232,66 @@ impl GrapeLatencyModel {
         Self::new(ControlLimits::asplos19(), GrapeConfig::fast(), 2)
     }
 
-    /// Cache key of an instruction list. Gate order is preserved: constituent
-    /// gates do not commute in general, so `[X(0); H(0)]` and `[H(0); X(0)]`
-    /// are different target unitaries and must price independently. The key is
-    /// this model's solver prefix (control limits + full GRAPE configuration —
-    /// the solver-identity part of the key) followed by the injective byte
-    /// encoding of the sequence ([`Instruction::encode_into`]): variant tags,
-    /// raw `f64::to_bits` angle bit patterns, and qubit indices — nearby
-    /// rotation angles never share a key, and building it allocates one small
-    /// `Vec<u8>` instead of the per-gate `format!` strings of the old
-    /// `Debug`-rendered key.
-    fn cache_key(&self, constituents: &[Instruction]) -> Vec<u8> {
-        // ~18 bytes per encoded gate (tag + angle bits + two qubit indices).
-        let mut key = Vec::with_capacity(self.key_prefix.len() + constituents.len() * 20);
-        key.extend_from_slice(&self.key_prefix);
+    /// Writes the cache key of an instruction list into `key`, using
+    /// `support` as scratch: the byte encoding ([`Instruction::encode_into`])
+    /// of its canonical form, where every qubit is replaced by its rank in
+    /// the list's sorted support. An order-preserving relabel changes no
+    /// input of a solve — [`target_unitary`](Self::target_unitary) works on
+    /// the sorted support, the system sees only the width, and the
+    /// calibrated guess and fallback ignore labels — so one key stands for
+    /// every placement of a shape: `CNOT(3,7)` keys as `CNOT(0,1)`. The
+    /// relabel keeps operand order (`CNOT(7,3)` keys as `CNOT(1,0)`) and gate
+    /// order: constituent gates do not commute in general, so `[X(0); H(0)]`
+    /// and `[H(0); X(0)]` are different target unitaries and must price
+    /// independently. Angles enter as raw `f64::to_bits` patterns, so nearby
+    /// rotation angles never share a key.
+    fn cache_key(constituents: &[Instruction], support: &mut Vec<usize>, key: &mut Vec<u8>) {
+        sorted_support(constituents, support);
+        key.clear();
         for inst in constituents {
-            inst.encode_into(&mut key);
+            inst.gate.encode_into(key);
+            key.push(inst.qubits.len() as u8);
+            for &q in &inst.qubits {
+                key.extend_from_slice(&(rank(support, q) as u64).to_le_bytes());
+            }
         }
-        key
     }
 
-    /// One actual pricing computation for `constituents` (a cache miss):
-    /// the optimal-control search, or the calibrated fallback when the
+    /// The compute-once slot of `constituents`, keyed in this thread's
+    /// reused buffer.
+    fn slot(&self, constituents: &[Instruction]) -> Arc<OnceLock<f64>> {
+        KEY_SCRATCH.with_borrow_mut(|(key, support)| {
+            Self::cache_key(constituents, support, key);
+            self.cache.slot(key)
+        })
+    }
+
+    /// One actual pricing computation (a cache miss) for the canonical form
+    /// of `constituents`, so the latency is a function of the key alone: the
+    /// optimal-control search, or the calibrated fallback when the
     /// instruction is too wide or the search did not converge.
     fn solve_uncached(&self, constituents: &[Instruction]) -> f64 {
         self.solves.fetch_add(1, Ordering::Relaxed);
-        match self.optimize_instruction(constituents) {
+        let canonical = canonical_form(constituents);
+        match self.optimize_instruction(&canonical) {
             Some((t_best, result)) if result.converged => t_best,
-            _ => self.fallback.aggregate_latency(constituents),
+            _ => self.fallback.aggregate_latency(&canonical),
         }
     }
 
-    /// Number of distinct instruction keys in the cache. Keys whose first
-    /// solve is still in flight are counted (the compute-once slot is
-    /// inserted before the solve completes), so during a concurrent compile
-    /// this may transiently exceed [`solve_count`](Self::solve_count).
+    /// Number of distinct instruction shapes in the cache: one shape placed
+    /// on several qubit sets counts once. Shapes whose first solve is still
+    /// in flight are counted (the compute-once slot is inserted before the
+    /// solve completes), so during a concurrent compile this may transiently
+    /// exceed [`solve_count`](Self::solve_count).
     pub fn cached_entries(&self) -> usize {
         self.cache.len()
     }
 
     /// Number of pricing computations performed (cache misses). Under
-    /// concurrent pricing this equals the number of distinct keys seen — each
-    /// key is solved exactly once.
+    /// concurrent pricing this equals the number of distinct instruction
+    /// shapes seen — each is solved exactly once, whichever placement or
+    /// thread reaches it first.
     pub fn solve_count(&self) -> usize {
         self.solves.load(Ordering::Relaxed)
     }
@@ -228,16 +306,9 @@ impl GrapeLatencyModel {
     pub fn snapshot_to(&self, path: &std::path::Path) -> Result<usize, PersistError> {
         let mut entries = self.cache.settled_entries();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut writer = SnapshotWriter::new(GRAPE_SNAPSHOT_KIND, &self.key_prefix);
+        let mut writer = SnapshotWriter::new(GRAPE_SNAPSHOT_KIND, &self.fingerprint);
         for (key, value) in &entries {
-            // Keys are prefix + instruction stream; the prefix doubles as the
-            // snapshot fingerprint, so only the suffix goes in the record.
-            let suffix = &key[self.key_prefix.len()..];
-            let mut payload = Vec::with_capacity(suffix.len() + 16);
-            payload.extend_from_slice(&(suffix.len() as u64).to_le_bytes());
-            payload.extend_from_slice(suffix);
-            payload.extend_from_slice(&value.to_bits().to_le_bytes());
-            writer.record(&payload);
+            writer.record(&record_payload(key, *value));
         }
         let count = writer.len();
         qcc_hw::persist::write_atomic(path, &writer.finish())?;
@@ -248,46 +319,55 @@ impl GrapeLatencyModel {
     /// [`snapshot_to`](Self::snapshot_to). Returns the number of entries
     /// loaded. Strict by design: a corrupt, truncated, foreign-version, or
     /// differently-calibrated snapshot is rejected with a [`PersistError`]
-    /// naming the mismatch, and the cache is left exactly as it was — callers
-    /// that prefer a silent cold start match on the error themselves. Loaded
+    /// naming the mismatch, and so is a record whose key is not canonical
+    /// (its qubits are not exactly the ranks `0..k`), which could never hit.
+    /// A rejected load leaves the cache exactly as it was — callers that
+    /// prefer a silent cold start match on the error themselves. Loaded
     /// entries do not count as solves or queries, so
     /// [`solve_count`](Self::solve_count) still reports only this process's
     /// work — the warm-start tests pin it at zero.
     pub fn warm_start_from(&self, path: &std::path::Path) -> Result<usize, PersistError> {
-        let records = qcc_hw::persist::load_records(path, GRAPE_SNAPSHOT_KIND, &self.key_prefix)?;
+        let records = qcc_hw::persist::load_records(path, GRAPE_SNAPSHOT_KIND, &self.fingerprint)?;
+        let malformed = |what, offset| PersistError::Malformed {
+            detail: DecodeError { what, offset },
+        };
         // Validate every record before touching the cache: a load is
         // all-or-nothing.
         let mut entries = Vec::with_capacity(records.len());
+        let (mut canonical, mut support) = (Vec::new(), Vec::new());
         for payload in &records {
             let mut cur = ByteCursor::new(payload);
-            let suffix_len = cur
+            let key_len = cur
                 .len("grape record key length")
                 .map_err(|detail| PersistError::Malformed { detail })?;
-            let suffix = cur
-                .bytes(suffix_len, "grape record key")
+            let key_offset = cur.offset();
+            let key = cur
+                .bytes(key_len, "grape record key")
                 .map_err(|detail| PersistError::Malformed { detail })?;
-            // The key suffix must be a well-formed instruction stream — the
-            // checksum guards against corruption, this guards against a
-            // confused writer.
-            let mut check = ByteCursor::new(suffix);
+            // The key must be a well-formed instruction stream and already
+            // its own cache key — the checksum guards against corruption,
+            // this guards against a confused writer or a hand-edited file.
+            let mut check = ByteCursor::new(key);
+            let mut constituents = Vec::new();
             while !check.is_empty() {
-                Instruction::decode_from(&mut check)
-                    .map_err(|detail| PersistError::Malformed { detail })?;
+                constituents.push(
+                    Instruction::decode_from(&mut check)
+                        .map_err(|detail| PersistError::Malformed { detail })?,
+                );
+            }
+            Self::cache_key(&constituents, &mut support, &mut canonical);
+            if canonical != key {
+                return Err(malformed(
+                    "grape record key (qubits are not the ranks 0..k)",
+                    key_offset,
+                ));
             }
             let value = cur
                 .f64("grape record latency")
                 .map_err(|detail| PersistError::Malformed { detail })?;
             if !cur.is_empty() {
-                return Err(PersistError::Malformed {
-                    detail: qcc_ir::DecodeError {
-                        what: "grape record (trailing bytes)",
-                        offset: cur.offset(),
-                    },
-                });
+                return Err(malformed("grape record (trailing bytes)", cur.offset()));
             }
-            let mut key = Vec::with_capacity(self.key_prefix.len() + suffix.len());
-            key.extend_from_slice(&self.key_prefix);
-            key.extend_from_slice(suffix);
             entries.push((key, value));
         }
         let count = entries.len();
@@ -300,29 +380,13 @@ impl GrapeLatencyModel {
     /// Builds the target unitary of an instruction list on its (sorted) local
     /// qubit support, together with that support.
     pub fn target_unitary(constituents: &[Instruction]) -> (CMatrix, Vec<usize>) {
-        let mut support: Vec<usize> = Vec::new();
-        for inst in constituents {
-            for &q in &inst.qubits {
-                if !support.contains(&q) {
-                    support.push(q);
-                }
-            }
-        }
-        support.sort_unstable();
+        let mut support = Vec::new();
+        sorted_support(constituents, &mut support);
         let n = support.len().max(1);
         let dim = 1usize << n;
         let mut u = CMatrix::identity(dim);
         for inst in constituents {
-            let local: Vec<usize> = inst
-                .qubits
-                .iter()
-                .map(|q| {
-                    support
-                        .iter()
-                        .position(|s| s == q)
-                        .expect("qubit in support")
-                })
-                .collect();
+            let local: Vec<usize> = inst.qubits.iter().map(|&q| rank(&support, q)).collect();
             u = inst.gate.matrix().embed(n, &local).matmul(&u);
         }
         (u, support)
@@ -354,8 +418,9 @@ impl LatencyModel for GrapeLatencyModel {
 
     fn aggregate_latency(&self, constituents: &[Instruction]) -> f64 {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let slot = self.cache.slot(self.cache_key(constituents));
-        *slot.get_or_init(|| self.solve_uncached(constituents))
+        *self
+            .slot(constituents)
+            .get_or_init(|| self.solve_uncached(constituents))
     }
 
     /// Batched pricing that dedups against the sharded cache before touching
@@ -366,13 +431,11 @@ impl LatencyModel for GrapeLatencyModel {
     /// any concurrency via the existing [`OnceLock`] slots. Values are
     /// bit-identical to sequential
     /// [`aggregate_latency`](LatencyModel::aggregate_latency) calls: same
-    /// keys, same slots, same deterministic solves.
+    /// keys, same slots, same deterministic solves of each key's canonical
+    /// form.
     fn aggregate_latency_batch(&self, queries: &[&[Instruction]], pool: &ThreadPool) -> Vec<f64> {
         self.queries.fetch_add(queries.len(), Ordering::Relaxed);
-        let slots: Vec<Arc<OnceLock<f64>>> = queries
-            .iter()
-            .map(|q| self.cache.slot(self.cache_key(q)))
-            .collect();
+        let slots: Vec<Arc<OnceLock<f64>>> = queries.iter().map(|q| self.slot(q)).collect();
         // Unique unsolved keys, in first-occurrence order. Duplicate queries
         // resolve to the same slot allocation, so pointer identity dedups
         // without re-deriving the keys.
@@ -431,7 +494,7 @@ impl qcc_hw::PersistentCache for GrapeLatencyModel {
     }
 
     fn snapshot_fingerprint(&self) -> Vec<u8> {
-        self.key_prefix.clone()
+        self.fingerprint.clone()
     }
 
     fn snapshot_to(&self, path: &std::path::Path) -> Result<usize, PersistError> {
@@ -594,6 +657,32 @@ mod tests {
     }
 
     #[test]
+    fn non_canonical_snapshot_record_is_rejected_and_cache_untouched() {
+        // A record keyed on raw qubit indices would load but never hit. Write
+        // one after a canonical record, under the reader's own fingerprint,
+        // so only the key itself is wrong.
+        let reader = GrapeLatencyModel::fast_two_qubit();
+        let fingerprint = qcc_hw::PersistentCache::snapshot_fingerprint(&reader);
+        let mut writer = SnapshotWriter::new(GRAPE_SNAPSHOT_KIND, &fingerprint);
+        for qubits in [[0, 1], [4, 7]] {
+            let mut key = Vec::new();
+            inst(Gate::Cnot, &qubits).encode_into(&mut key);
+            writer.record(&record_payload(&key, 25.0));
+        }
+        let path = scratch("non-canonical");
+        qcc_hw::persist::write_atomic(&path, &writer.finish()).unwrap();
+
+        let err = reader.warm_start_from(&path).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Malformed { .. }),
+            "expected Malformed, got {err}"
+        );
+        assert!(err.to_string().contains("ranks"), "{err}");
+        assert_eq!(reader.cached_entries(), 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn warm_start_never_overwrites_live_entries() {
         let writer = GrapeLatencyModel::fast_two_qubit();
         let q = [inst(Gate::X, &[0])];
@@ -656,14 +745,20 @@ mod tests {
         assert_eq!(model.name(), "grape-xy");
     }
 
+    /// The cache key of `constituents`, built in fresh buffers.
+    fn key_of(constituents: &[Instruction]) -> Vec<u8> {
+        let (mut key, mut support) = (Vec::new(), Vec::new());
+        GrapeLatencyModel::cache_key(constituents, &mut support, &mut key);
+        key
+    }
+
     #[test]
     fn cache_key_preserves_gate_order() {
         // X·H ≠ H·X: the two orders are different target unitaries and must
         // not collide in the cache (the old key sorted constituents).
         let xh = [inst(Gate::X, &[0]), inst(Gate::H, &[0])];
         let hx = [inst(Gate::H, &[0]), inst(Gate::X, &[0])];
-        let keyer = GrapeLatencyModel::fast_two_qubit();
-        assert_ne!(keyer.cache_key(&xh), keyer.cache_key(&hx));
+        assert_ne!(key_of(&xh), key_of(&hx));
         let (u_xh, _) = GrapeLatencyModel::target_unitary(&xh);
         let (u_hx, _) = GrapeLatencyModel::target_unitary(&hx);
         assert!(!u_xh.approx_eq_up_to_phase(&u_hx, 1e-9));
@@ -671,9 +766,20 @@ mod tests {
         // Rotation angles that differ in any bit must key separately (the
         // byte key embeds the raw f64 bit pattern).
         assert_ne!(
-            keyer.cache_key(&[inst(Gate::Rz(0.40001), &[0])]),
-            keyer.cache_key(&[inst(Gate::Rz(0.40004), &[0])])
+            key_of(&[inst(Gate::Rz(0.40001), &[0])]),
+            key_of(&[inst(Gate::Rz(0.40004), &[0])])
         );
+
+        // The key relabels each qubit to its rank in the sorted support: one
+        // placement keys like another, and the key is the instruction
+        // encoding of the relabelled list. It relabels without sorting, so
+        // operand order survives.
+        let cnot_37 = key_of(&[inst(Gate::Cnot, &[3, 7])]);
+        assert_eq!(cnot_37, key_of(&[inst(Gate::Cnot, &[0, 1])]));
+        assert_ne!(cnot_37, key_of(&[inst(Gate::Cnot, &[7, 3])]));
+        let mut encoded = Vec::new();
+        inst(Gate::Cnot, &[0, 1]).encode_into(&mut encoded);
+        assert_eq!(cnot_37, encoded);
 
         let model = GrapeLatencyModel::fast_two_qubit();
         let t_xh = model.aggregate_latency(&xh);
@@ -688,12 +794,61 @@ mod tests {
     }
 
     #[test]
-    fn cache_keys_diverge_across_solver_configurations() {
+    fn each_shape_is_solved_once_whatever_its_placement() {
+        let zz = |a, b| {
+            vec![
+                inst(Gate::Cnot, &[a, b]),
+                inst(Gate::Rz(0.5), &[b]),
+                inst(Gate::Cnot, &[a, b]),
+            ]
+        };
+        let workload: Vec<Vec<Instruction>> = vec![
+            zz(0, 1),
+            zz(3, 7),
+            zz(5, 9),
+            vec![inst(Gate::X, &[0])],
+            vec![inst(Gate::X, &[4])],
+            vec![inst(Gate::X, &[11])],
+        ];
+        // What a key per placement gave: each placement solved as given,
+        // by a model that has seen nothing else.
+        let expected: Vec<u64> = workload
+            .iter()
+            .map(|q| {
+                let fresh = GrapeLatencyModel::fast_two_qubit();
+                let t = match fresh.optimize_instruction(q) {
+                    Some((t_best, result)) if result.converged => t_best,
+                    _ => fresh.fallback.aggregate_latency(q),
+                };
+                t.to_bits()
+            })
+            .collect();
+
+        let shared = GrapeLatencyModel::fast_two_qubit();
+        for (q, want) in workload.iter().zip(&expected) {
+            assert_eq!(shared.aggregate_latency(q).to_bits(), *want, "{q:?}");
+        }
+        assert_eq!(shared.solve_count(), 2, "one solve per shape");
+        assert_eq!(shared.cached_entries(), 2);
+
+        let queries: Vec<&[Instruction]> = workload.iter().map(|c| c.as_slice()).collect();
+        for threads in [1, 4] {
+            let model = GrapeLatencyModel::fast_two_qubit();
+            let got = model.aggregate_latency_batch(&queries, &ThreadPool::new(threads));
+            for (g, want) in got.iter().zip(&expected) {
+                assert_eq!(g.to_bits(), *want, "{threads} threads");
+            }
+            assert_eq!(model.solve_count(), 2, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn snapshot_fingerprints_diverge_across_solver_configurations() {
         // Two models that could price the same instruction differently —
         // different control limits, or different GRAPE settings — must never
-        // share a key, or a snapshot written by one would warm-start the
-        // other with the wrong latencies.
-        let query = [inst(Gate::X, &[0]), inst(Gate::H, &[0])];
+        // share a snapshot fingerprint, or a snapshot written by one would
+        // warm-start the other with the wrong latencies.
+        let fingerprint = |m: &GrapeLatencyModel| qcc_hw::PersistentCache::snapshot_fingerprint(m);
         let base = GrapeLatencyModel::fast_two_qubit();
         let fast_limits = GrapeLatencyModel::new(
             ControlLimits::asplos19().scaled_drives(2.0),
@@ -706,14 +861,14 @@ mod tests {
             GrapeLatencyModel::new(ControlLimits::asplos19(), cfg, 2)
         };
         let wider = GrapeLatencyModel::new(ControlLimits::asplos19(), GrapeConfig::fast(), 3);
-        assert_ne!(base.cache_key(&query), fast_limits.cache_key(&query));
-        assert_ne!(base.cache_key(&query), deeper.cache_key(&query));
-        assert_ne!(base.cache_key(&query), wider.cache_key(&query));
-        // Identically configured models agree — the prefix is a pure function
-        // of configuration, so persistent caches can share keys across runs.
+        assert_ne!(fingerprint(&base), fingerprint(&fast_limits));
+        assert_ne!(fingerprint(&base), fingerprint(&deeper));
+        assert_ne!(fingerprint(&base), fingerprint(&wider));
+        // Identically configured models agree — the fingerprint is a pure
+        // function of configuration, so snapshots load across runs.
         assert_eq!(
-            base.cache_key(&query),
-            GrapeLatencyModel::fast_two_qubit().cache_key(&query)
+            fingerprint(&base),
+            fingerprint(&GrapeLatencyModel::fast_two_qubit())
         );
     }
 

@@ -1,7 +1,7 @@
 //! The on-disk snapshot container: a bespoke little-endian binary format for
 //! persisting cache state across process restarts.
 //!
-//! # Format (version 3)
+//! # Format (version 4)
 //!
 //! All integers are little-endian; floats are raw `f64::to_bits` patterns.
 //!
@@ -55,7 +55,7 @@ pub const MAGIC: [u8; 8] = *b"QCCSNAP\0";
 
 /// Current snapshot format version. Bumped on any layout change; older or
 /// newer versions are rejected at load (see the module docs for the policy).
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// File extension used for snapshot files.
 pub const SNAPSHOT_EXTENSION: &str = "qccsnap";

@@ -128,6 +128,7 @@ fn batch_solve_is_exactly_once_per_unique_key_under_the_8_thread_hammer() {
         vec![inst(Gate::H, &[0]), inst(Gate::X, &[0])],
         vec![inst(Gate::Rz(0.4), &[2])],
         vec![inst(Gate::X, &[0])], // in-batch duplicate
+        vec![inst(Gate::X, &[4])], // the same shape at another placement
     ];
     let queries: Vec<&[Instruction]> = workload.iter().map(|c| c.as_slice()).collect();
     let unique_keys = 5;
