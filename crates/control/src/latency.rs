@@ -17,7 +17,7 @@ use crate::hamiltonian::TransmonSystem;
 use parking_lot::Mutex;
 use qcc_hw::persist::SnapshotWriter;
 use qcc_hw::{CalibratedLatencyModel, ControlLimits, LatencyModel, PersistError, PricingStats};
-use qcc_ir::{ByteCursor, DecodeError, Instruction};
+use qcc_ir::{sequence_unitary, ByteCursor, DecodeError, Instruction};
 use qcc_math::{gate_fidelity, CMatrix};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -382,23 +382,19 @@ impl GrapeLatencyModel {
     pub fn target_unitary(constituents: &[Instruction]) -> (CMatrix, Vec<usize>) {
         let mut support = Vec::new();
         sorted_support(constituents, &mut support);
-        let n = support.len().max(1);
-        let dim = 1usize << n;
-        let mut u = CMatrix::identity(dim);
-        for inst in constituents {
-            let local: Vec<usize> = inst.qubits.iter().map(|&q| rank(&support, q)).collect();
-            u = inst.gate.matrix().embed(n, &local).matmul(&u);
-        }
-        (u, support)
+        (sequence_unitary(constituents, &support), support)
     }
 
     /// Runs the full optimal-control pipeline for one instruction, returning
-    /// the pulse duration and the GRAPE result.
+    /// the pulse duration and the GRAPE result. Returns `None`, without
+    /// building the target, for an instruction wider than the model's limit.
     pub fn optimize_instruction(&self, constituents: &[Instruction]) -> Option<(f64, GrapeResult)> {
-        let (target, support) = Self::target_unitary(constituents);
+        let mut support = Vec::new();
+        sorted_support(constituents, &mut support);
         if support.is_empty() || support.len() > self.max_qubits {
             return None;
         }
+        let target = sequence_unitary(constituents, &support);
         let system = TransmonSystem::fully_coupled(support.len(), self.limits);
         let optimizer = GrapeOptimizer::new(self.grape.clone());
         let guess = self
@@ -709,6 +705,24 @@ mod tests {
         assert_eq!(support, vec![4, 7]);
         assert_eq!(u.rows(), 4);
         assert!(u.approx_eq(&pauli::zz_rotation(0.5), 1e-12));
+
+        // A reversed CNOT after an Rx on its control: bit-for-bit the
+        // product of the embedded gate matrices.
+        let (u, support) = GrapeLatencyModel::target_unitary(&[
+            inst(Gate::Rx(0.3), &[7]),
+            inst(Gate::Cnot, &[7, 3]),
+        ]);
+        assert_eq!(support, vec![3, 7]);
+        let want = pauli::cnot()
+            .embed(2, &[1, 0])
+            .matmul(&pauli::rx(0.3).embed(2, &[1]));
+        let bits = |m: &CMatrix| -> Vec<(u64, u64)> {
+            m.as_slice()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&u), bits(&want));
     }
 
     #[test]
@@ -734,6 +748,15 @@ mod tests {
         let grape_t = model.aggregate_latency(&constituents);
         let calib = CalibratedLatencyModel::asplos19().aggregate_latency(&constituents);
         assert!((grape_t - calib).abs() < 1e-9);
+
+        // A 10-qubit CNOT–Rz ladder is priced by the fallback without a
+        // 1024 × 1024 target being built first.
+        let ladder: Vec<Instruction> = (0..9)
+            .flat_map(|q| [inst(Gate::Cnot, &[q, q + 1]), inst(Gate::Rz(0.2), &[q + 1])])
+            .collect();
+        let grape_t = model.aggregate_latency(&ladder);
+        let calib = CalibratedLatencyModel::asplos19().aggregate_latency(&ladder);
+        assert_eq!(grape_t.to_bits(), calib.to_bits());
     }
 
     #[test]

@@ -29,9 +29,12 @@
 //! Building the groups asks whether each instruction commutes with every
 //! member of its qubit's open group. Circuits repeat a few gate patterns many
 //! times, so the answers are kept in a table keyed by instruction shape (see
-//! `CommutationMemo`) and each distinct question is computed once.
+//! `CommutationMemo`) and each distinct question is computed once. The table
+//! also keeps each shape's local unitary and diagonal flag, built at most
+//! once per build, so a question that needs the dense check embeds two
+//! cached unitaries instead of multiplying out both instructions.
 
-use crate::instr::AggregateInstruction;
+use crate::instr::{self, AggregateInstruction, LocalUnitary};
 use qcc_graph::{matching, Graph};
 use std::collections::BTreeMap;
 
@@ -150,10 +153,17 @@ impl CommutationGroups {
 /// and by how the two supports interleave, so answers are kept per
 /// `(shape, shape, interleaving)`. Circuits repeat a few gate patterns many
 /// times, so most questions are answered from the table.
+///
+/// The questions that do reach the decision share one [`LocalUnitary`] per
+/// shape: each shape's local unitary and diagonal flag are built at most
+/// once, and a dense check only embeds the two cached unitaries. The memo
+/// lives for one [`CommutationGroups::build`].
 struct CommutationMemo<'a> {
     instrs: &'a [AggregateInstruction],
     /// Shape id of every instruction.
     shape: Vec<u32>,
+    /// Local unitary and diagonal flag of every shape.
+    unitaries: Vec<LocalUnitary>,
     known: BTreeMap<(u32, u32, u64), bool>,
 }
 
@@ -184,6 +194,7 @@ impl<'a> CommutationMemo<'a> {
         Self {
             instrs,
             shape,
+            unitaries: (0..ids.len()).map(|_| LocalUnitary::default()).collect(),
             known: BTreeMap::new(),
         }
     }
@@ -219,14 +230,19 @@ impl<'a> CommutationMemo<'a> {
     }
 
     fn commutes(&mut self, a: usize, b: usize) -> bool {
-        let (ia, ib) = (&self.instrs[a], &self.instrs[b]);
-        let Some(layout) = Self::interleaving(&ia.qubits, &ib.qubits) else {
-            return ia.commutes_with(ib);
+        let (sa, sb) = (self.shape[a], self.shape[b]);
+        let decide = || {
+            instr::commutes(
+                &self.instrs[a],
+                &self.unitaries[sa as usize],
+                &self.instrs[b],
+                &self.unitaries[sb as usize],
+            )
         };
-        *self
-            .known
-            .entry((self.shape[a], self.shape[b], layout))
-            .or_insert_with(|| ia.commutes_with(ib))
+        match Self::interleaving(&self.instrs[a].qubits, &self.instrs[b].qubits) {
+            Some(layout) => *self.known.entry((sa, sb, layout)).or_insert_with(decide),
+            None => decide(),
+        }
     }
 }
 
@@ -424,13 +440,67 @@ pub fn apply_order(instrs: &[AggregateInstruction], order: &[usize]) -> Vec<Aggr
 
 /// CLS as it was before the ready set, kept as the reference the ready-set
 /// scheduler is tested against: per-qubit groups as nested lists, and every
-/// round rescans all instructions with `Vec::contains` group tests.
+/// round rescans all instructions with `Vec::contains` group tests. Its
+/// commutation test is the uncached one the memo is tested against.
 #[cfg(test)]
 mod reference {
     use super::ClsResult;
     use crate::instr::AggregateInstruction;
     use qcc_graph::{matching, Graph};
+    use qcc_ir::{commute, Instruction};
+    use qcc_math::CMatrix;
     use std::collections::BTreeMap;
+
+    /// The product of `gates` on `support`, one embedded gate matrix at a
+    /// time.
+    fn product(gates: &[Instruction], support: &[usize]) -> CMatrix {
+        let n = support.len();
+        let mut u = CMatrix::identity(1 << n);
+        for inst in gates {
+            let local: Vec<usize> = inst
+                .qubits
+                .iter()
+                .map(|q| support.iter().position(|s| s == q).expect("in support"))
+                .collect();
+            u = inst.gate.matrix().embed(n, &local).matmul(&u);
+        }
+        u
+    }
+
+    fn is_diagonal(inst: &AggregateInstruction) -> bool {
+        inst.constituents.iter().all(|i| i.gate.is_diagonal())
+            || (inst.width() <= 4 && product(&inst.constituents, &inst.qubits).is_diagonal(1e-9))
+    }
+
+    /// `AggregateInstruction::commutes_with` without a unitary cache: the
+    /// dense check multiplies every constituent of both instructions on the
+    /// joint support.
+    pub(super) fn commutes(a: &AggregateInstruction, b: &AggregateInstruction) -> bool {
+        if a.shared_qubits(b).is_empty() {
+            return true;
+        }
+        let structural = a.constituents.iter().all(|x| {
+            b.constituents
+                .iter()
+                .all(|y| commute::commute_structural(x, y))
+        });
+        if structural || (is_diagonal(a) && is_diagonal(b)) {
+            return true;
+        }
+        let mut support = a.qubits.clone();
+        for &q in &b.qubits {
+            if !support.contains(&q) {
+                support.push(q);
+            }
+        }
+        if support.len() > 4 {
+            return false;
+        }
+        support.sort_unstable();
+        let ua = product(&a.constituents, &support);
+        let ub = product(&b.constituents, &support);
+        ua.matmul(&ub).approx_eq(&ub.matmul(&ua), 1e-9)
+    }
 
     /// Groups per qubit: `groups[q]` lists the groups of qubit `q` in order.
     pub(super) fn groups(instrs: &[AggregateInstruction]) -> BTreeMap<usize, Vec<Vec<usize>>> {
@@ -446,7 +516,7 @@ mod reference {
             for &idx in &order {
                 let fits_last = qgroups.last().is_some_and(|last| {
                     last.iter()
-                        .all(|&other| instrs[idx].commutes_with(&instrs[other]))
+                        .all(|&other| commutes(&instrs[idx], &instrs[other]))
                 });
                 if fits_last {
                     qgroups.last_mut().expect("non-empty").push(idx);
@@ -737,8 +807,125 @@ mod tests {
             .collect()
     }
 
+    /// A random aggregate on a register of `reg` qubits: `width` distinct
+    /// qubits picked by `seeds`, and one gate of any kind per pick (kind 23
+    /// is a whole CNOT–Rz–CNOT block), on qubits of that support in random
+    /// operand order. Gates wider than the support become an Rz. A
+    /// `diagonal` aggregate draws only diagonal gates and blocks.
+    fn random_aggregate(
+        reg: usize,
+        width: usize,
+        (a, b, c, d): (usize, usize, usize, usize),
+        diagonal: bool,
+        picks: &[(usize, (usize, usize, usize), f64)],
+    ) -> AggregateInstruction {
+        use Gate::*;
+        const DIAGONAL_KINDS: [usize; 12] = [0, 3, 5, 6, 7, 8, 11, 12, 14, 15, 19, 23];
+        let mut support = Vec::new();
+        for seed in &[a, b, c, d][..width] {
+            let mut q = seed % reg;
+            while support.contains(&q) {
+                q = (q + 1) % reg;
+            }
+            support.push(q);
+        }
+        let mut gates = Vec::new();
+        for &(kind, (x, y, z), t) in picks {
+            let kind = if diagonal {
+                DIAGONAL_KINDS[kind % DIAGONAL_KINDS.len()]
+            } else {
+                kind
+            };
+            let mut qs: Vec<usize> = Vec::new();
+            for seed in [x, y, z].iter().take(width) {
+                let mut i = seed % width;
+                while qs.contains(&support[i]) {
+                    i = (i + 1) % width;
+                }
+                qs.push(support[i]);
+            }
+            let gate = match kind {
+                0 => I,
+                1 => X,
+                2 => Y,
+                3 => Z,
+                4 => H,
+                5 => S,
+                6 => Sdg,
+                7 => T,
+                8 => Tdg,
+                9 => Rx(t),
+                10 => Ry(t),
+                11 => Rz(t),
+                12 => Phase(t),
+                13 | 23 => Cnot,
+                14 => Cz,
+                15 => CPhase(t),
+                16 => Swap,
+                17 => ISwap,
+                18 => SqrtISwap,
+                19 => Rzz(t),
+                20 => Rxy(t),
+                21 => Toffoli,
+                _ => Fredkin,
+            };
+            let gate = if gate.arity() <= qs.len() {
+                gate
+            } else {
+                Rz(t)
+            };
+            qs.truncate(gate.arity());
+            if kind == 23 && qs.len() == 2 {
+                gates.push(Instruction::new(Cnot, qs.clone()));
+                gates.push(Instruction::new(Rz(t), vec![qs[1]]));
+            }
+            gates.push(Instruction::new(gate, qs));
+        }
+        AggregateInstruction::from_gates(gates, InstructionOrigin::Aggregated)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every memo answer, cached or computed, equals the uncached
+        /// reference decision, in both orders.
+        #[test]
+        fn memo_decisions_match_the_uncached_reference(
+            reg in 2usize..7,
+            aggregates in prop::collection::vec(
+                (
+                    1usize..5,
+                    (0usize..64, 0usize..64, 0usize..64, 0usize..64),
+                    0usize..3,
+                    prop::collection::vec(
+                        (0usize..25, (0usize..64, 0usize..64, 0usize..64), -3.1f64..3.1),
+                        1..13,
+                    ),
+                ),
+                2..9,
+            ),
+        ) {
+            // Flavour 0 draws any gates, 1 only diagonal ones, and 2 repeats
+            // the previous aggregate (a same-shape question).
+            let mut instrs: Vec<AggregateInstruction> = Vec::new();
+            for (width, seeds, flavour, picks) in &aggregates {
+                if let (2, Some(last)) = (flavour, instrs.last()) {
+                    instrs.push(last.clone());
+                    continue;
+                }
+                let width = (*width).min(reg);
+                instrs.push(random_aggregate(reg, width, *seeds, *flavour == 1, picks));
+            }
+            let mut memo = CommutationMemo::new(&instrs);
+            for _ in 0..2 {
+                for a in 0..instrs.len() {
+                    for b in 0..instrs.len() {
+                        let want = reference::commutes(&instrs[a], &instrs[b]);
+                        prop_assert_eq!((a, b, memo.commutes(a, b)), (a, b, want));
+                    }
+                }
+            }
+        }
 
         #[test]
         fn ready_set_schedule_matches_the_full_scan_reference(

@@ -9,8 +9,7 @@
 //! freedom (Fig. 6b).
 
 use crate::instr::{AggregateInstruction, InstructionOrigin};
-use qcc_ir::{decompose, Circuit, Instruction};
-use qcc_math::CMatrix;
+use qcc_ir::{commute, decompose, Circuit, Instruction};
 
 /// Flattens a circuit to 1-/2-qubit gates and wraps each gate in its own
 /// [`AggregateInstruction`].
@@ -87,7 +86,7 @@ pub fn detect_diagonal_blocks(instrs: &[AggregateInstruction]) -> Vec<AggregateI
                 .iter()
                 .map(|&k| &instrs[k].constituents[0])
                 .collect();
-            if product_is_diagonal(&gates, &pair) {
+            if commute::sequence_is_diagonal(&gates, 2) {
                 best_len = len;
                 break;
             }
@@ -111,22 +110,6 @@ pub fn detect_diagonal_blocks(instrs: &[AggregateInstruction]) -> Vec<AggregateI
         i += 1;
     }
     result
-}
-
-/// Whether the product of `gates` restricted to `pair` is a diagonal unitary.
-fn product_is_diagonal(gates: &[&Instruction], pair: &[usize]) -> bool {
-    let n = pair.len();
-    let dim = 1usize << n;
-    let mut u = CMatrix::identity(dim);
-    for inst in gates {
-        let local: Vec<usize> = inst
-            .qubits
-            .iter()
-            .map(|q| pair.iter().position(|s| s == q).expect("gate within pair"))
-            .collect();
-        u = inst.gate.matrix().embed(n, &local).matmul(&u);
-    }
-    u.is_diagonal(1e-9)
 }
 
 /// Full front-end: flatten, then detect diagonal blocks.

@@ -7,9 +7,10 @@
 //! pass (§4.3). The optimal-control unit ultimately compiles each instruction
 //! into a single pulse.
 
-use qcc_ir::{commute, Gate, Instruction};
+use qcc_ir::{commute, sequence_unitary, Gate, Instruction};
 use qcc_math::CMatrix;
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::fmt;
 
 /// How an instruction came to exist — used for reporting and for pricing under
@@ -133,29 +134,16 @@ impl AggregateInstruction {
             self.width() <= 10,
             "instruction too wide for a dense unitary"
         );
-        let n = self.width();
-        let dim = 1usize << n;
-        let mut u = CMatrix::identity(dim);
-        for inst in &self.constituents {
-            let local: Vec<usize> = inst
-                .qubits
-                .iter()
-                .map(|q| self.qubits.iter().position(|s| s == q).expect("in support"))
-                .collect();
-            u = inst.gate.matrix().embed(n, &local).matmul(&u);
-        }
-        u
+        sequence_unitary(&self.constituents, &self.qubits)
     }
 
-    /// Whether the instruction implements a diagonal unitary.
+    /// Whether the instruction is known to implement a diagonal unitary.
+    ///
+    /// Conservative past four qubits: an instruction wider than that counts
+    /// as diagonal only when every constituent gate is, even if the product
+    /// of non-diagonal gates happens to be diagonal.
     pub fn is_diagonal(&self) -> bool {
-        if self.constituents.iter().all(|i| i.gate.is_diagonal()) {
-            return true;
-        }
-        if self.width() > 4 {
-            return false;
-        }
-        self.local_unitary().is_diagonal(1e-9)
+        LocalUnitary::default().is_diagonal(self)
     }
 
     /// Whether two instructions commute. Disjoint instructions always commute;
@@ -163,51 +151,12 @@ impl AggregateInstruction {
     /// exact unitary comparison is used as a fallback for supports of up to
     /// four qubits.
     pub fn commutes_with(&self, other: &AggregateInstruction) -> bool {
-        if self.shared_qubits(other).is_empty() {
-            return true;
-        }
-        // Structural: every constituent pair commutes structurally.
-        let structural = self.constituents.iter().all(|a| {
-            other
-                .constituents
-                .iter()
-                .all(|b| commute::commute_structural(a, b))
-        });
-        if structural {
-            return true;
-        }
-        // Both diagonal ⇒ commute.
-        if self.is_diagonal() && other.is_diagonal() {
-            return true;
-        }
-        // Exact check on the joint support when small enough.
-        let mut support = self.qubits.clone();
-        for &q in &other.qubits {
-            if !support.contains(&q) {
-                support.push(q);
-            }
-        }
-        if support.len() > 4 {
-            return false;
-        }
-        support.sort_unstable();
-        let n = support.len();
-        let dim = 1usize << n;
-        let embed_all = |agg: &AggregateInstruction| -> CMatrix {
-            let mut u = CMatrix::identity(dim);
-            for inst in &agg.constituents {
-                let local: Vec<usize> = inst
-                    .qubits
-                    .iter()
-                    .map(|q| support.iter().position(|s| s == q).expect("in support"))
-                    .collect();
-                u = inst.gate.matrix().embed(n, &local).matmul(&u);
-            }
-            u
-        };
-        let ua = embed_all(self);
-        let ub = embed_all(other);
-        ua.matmul(&ub).approx_eq(&ub.matmul(&ua), 1e-9)
+        commutes(
+            self,
+            &LocalUnitary::default(),
+            other,
+            &LocalUnitary::default(),
+        )
     }
 
     /// A compact label for displays (e.g. `G3[q2,q3]`).
@@ -215,6 +164,81 @@ impl AggregateInstruction {
         let qs: Vec<String> = self.qubits.iter().map(|q| q.to_string()).collect();
         format!("G{}[q{}]", index, qs.join(",q"))
     }
+}
+
+/// The local unitary and diagonal flag of one instruction shape, each built
+/// on first use. Both depend only on the instruction's gates with qubits
+/// ranked in its support, so one cache serves every instruction of a shape
+/// (CLS keeps one per shape for a whole commutation-group build).
+#[derive(Debug, Default)]
+pub(crate) struct LocalUnitary {
+    unitary: OnceCell<CMatrix>,
+    diagonal: OnceCell<bool>,
+}
+
+impl LocalUnitary {
+    /// [`AggregateInstruction::local_unitary`] of `inst`.
+    fn unitary(&self, inst: &AggregateInstruction) -> &CMatrix {
+        self.unitary.get_or_init(|| inst.local_unitary())
+    }
+
+    /// [`AggregateInstruction::is_diagonal`] of `inst`.
+    fn is_diagonal(&self, inst: &AggregateInstruction) -> bool {
+        *self.diagonal.get_or_init(|| {
+            inst.constituents.iter().all(|i| i.gate.is_diagonal())
+                || (inst.width() <= 4 && self.unitary(inst).is_diagonal(1e-9))
+        })
+    }
+}
+
+/// [`AggregateInstruction::commutes_with`], with each instruction's local
+/// unitary and diagonal flag taken from (and built into) its cache. The
+/// dense check embeds the two local unitaries onto the joint support and
+/// compares both products at `1e-9`.
+pub(crate) fn commutes(
+    a: &AggregateInstruction,
+    ua: &LocalUnitary,
+    b: &AggregateInstruction,
+    ub: &LocalUnitary,
+) -> bool {
+    if a.shared_qubits(b).is_empty() {
+        return true;
+    }
+    // Structural: every constituent pair commutes structurally.
+    let structural = a.constituents.iter().all(|x| {
+        b.constituents
+            .iter()
+            .all(|y| commute::commute_structural(x, y))
+    });
+    if structural {
+        return true;
+    }
+    // Both diagonal ⇒ commute.
+    if ua.is_diagonal(a) && ub.is_diagonal(b) {
+        return true;
+    }
+    // Exact check on the joint support when small enough.
+    let mut support = a.qubits.clone();
+    for &q in &b.qubits {
+        if !support.contains(&q) {
+            support.push(q);
+        }
+    }
+    if support.len() > 4 {
+        return false;
+    }
+    support.sort_unstable();
+    let n = support.len();
+    let embed = |inst: &AggregateInstruction, u: &LocalUnitary| {
+        let ranks: Vec<usize> = inst
+            .qubits
+            .iter()
+            .map(|q| support.binary_search(q).expect("in support"))
+            .collect();
+        u.unitary(inst).embed(n, &ranks)
+    };
+    let (ma, mb) = (embed(a, ua), embed(b, ub));
+    ma.matmul(&mb).approx_eq(&mb.matmul(&ma), 1e-9)
 }
 
 impl fmt::Display for AggregateInstruction {

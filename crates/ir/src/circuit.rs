@@ -62,11 +62,6 @@ impl Instruction {
             .collect()
     }
 
-    /// The unitary of this instruction embedded into an `n`-qubit space.
-    pub fn embedded_matrix(&self, n: usize) -> CMatrix {
-        self.gate.matrix().embed(n, &self.qubits)
-    }
-
     /// Appends an injective byte encoding of the instruction to `out`: the
     /// gate's encoding ([`Gate::encode_into`]) followed by the operand count
     /// and each qubit index, little-endian. Concatenating instruction
@@ -115,6 +110,34 @@ impl Instruction {
         }
         Ok(Self { gate, qubits })
     }
+}
+
+/// The unitary of `instructions`, applied in order, on the register whose
+/// qubit `r` (big-endian, as in [`CMatrix::embed`]) is `support[r]`.
+///
+/// Each gate is applied in place with [`CMatrix::apply_gate`], so the result
+/// is bit-for-bit the product of the embedded gate matrices.
+///
+/// # Panics
+///
+/// Panics if an instruction acts on a qubit outside `support`.
+pub fn sequence_unitary<'a>(
+    instructions: impl IntoIterator<Item = &'a Instruction>,
+    support: &[usize],
+) -> CMatrix {
+    let mut u = CMatrix::identity(1 << support.len());
+    let (mut local, mut rows) = (Vec::new(), Vec::new());
+    for inst in instructions {
+        local.clear();
+        local.extend(inst.qubits.iter().map(|q| {
+            support
+                .iter()
+                .position(|s| s == q)
+                .expect("instruction acts within the support")
+        }));
+        u.apply_gate(&inst.gate.matrix(), &local, &mut rows);
+    }
+    u
 }
 
 impl fmt::Display for Instruction {
@@ -287,13 +310,8 @@ impl Circuit {
             "refusing to build a dense unitary for {} qubits",
             self.n_qubits
         );
-        let dim = 1usize << self.n_qubits;
-        let mut u = CMatrix::identity(dim);
-        for inst in &self.instructions {
-            let g = inst.embedded_matrix(self.n_qubits);
-            u = g.matmul(&u);
-        }
-        u
+        let register: Vec<usize> = (0..self.n_qubits).collect();
+        sequence_unitary(&self.instructions, &register)
     }
 
     /// Returns a copy with any `is_identity` gates removed.

@@ -13,7 +13,7 @@
 //!   does ("resolved by explicitly checking the equality of unitary operators
 //!   ÂB̂ and B̂Â").
 
-use crate::circuit::Instruction;
+use crate::circuit::{sequence_unitary, Instruction};
 use qcc_math::CMatrix;
 
 /// Tolerance used when comparing unitaries entry-wise.
@@ -115,18 +115,7 @@ pub fn sequence_is_diagonal(instructions: &[&Instruction], max_qubits: usize) ->
         return false;
     }
     support.sort_unstable();
-    let n = support.len();
-    let dim = 1usize << n;
-    let mut u = CMatrix::identity(dim);
-    for inst in instructions {
-        let local: Vec<usize> = inst
-            .qubits
-            .iter()
-            .map(|q| support.iter().position(|s| s == q).expect("in support"))
-            .collect();
-        u = inst.gate.matrix().embed(n, &local).matmul(&u);
-    }
-    u.is_diagonal(COMMUTE_TOL)
+    sequence_unitary(instructions.iter().copied(), &support).is_diagonal(COMMUTE_TOL)
 }
 
 #[cfg(test)]

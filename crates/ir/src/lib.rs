@@ -35,7 +35,7 @@ pub mod pauli_rotation;
 pub mod qasm;
 
 pub use bytes::{ByteCursor, DecodeError};
-pub use circuit::{Circuit, Instruction};
+pub use circuit::{sequence_unitary, Circuit, Instruction};
 pub use commute::{commute as gates_commute, commute_exact, commute_structural};
 pub use gate::{AxisAction, Gate};
 pub use pauli_rotation::{PauliOp, PauliRotation, PauliString};

@@ -97,8 +97,8 @@ proptest! {
         let a = &insts[0];
         let b = &insts[1];
         let n = c.n_qubits();
-        let ma = a.embedded_matrix(n);
-        let mb = b.embedded_matrix(n);
+        let ma = a.gate.matrix().embed(n, &a.qubits);
+        let mb = b.gate.matrix().embed(n, &b.qubits);
         let full_commute = ma.matmul(&mb).approx_eq(&mb.matmul(&ma), 1e-9);
         prop_assert_eq!(commute::commute_exact(a, b), full_commute);
     }

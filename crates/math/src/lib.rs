@@ -9,10 +9,11 @@
 //! The crate is deliberately sized for the regime of the ASPLOS'19 paper this
 //! workspace reproduces: unitaries of at most ten qubits (1024×1024), dense
 //! storage, `f64` precision. Every product is the one scalar loop of
-//! [`CMatrix::matmul_into`]. Its hot caller is the optimal-control unit,
-//! whose products stay at 8×8 or below for every GRAPE model in the
-//! workspace (none covers more than three qubits); it goes through an
-//! [`ExpmWorkspace`] that reuses the buffers across calls.
+//! [`CMatrix::matmul_into`], or [`CMatrix::apply_gate`] for a gate applied to
+//! a running product in the same arithmetic order. Its hot caller is the
+//! optimal-control unit, whose products stay at 8×8 or below for every GRAPE
+//! model in the workspace (none covers more than three qubits); it goes
+//! through an [`ExpmWorkspace`] that reuses the buffers across calls.
 //!
 //! ## Example
 //!

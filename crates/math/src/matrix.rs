@@ -4,6 +4,8 @@
 //! dense, `f64` precision, stored row-major as `Vec<C64>`. Multiplication is
 //! the scalar ikj loop of [`CMatrix::matmul_into`]; the hot paths (`expm`,
 //! the GRAPE propagator chain) call it with reused output buffers.
+//! [`CMatrix::apply_gate`] multiplies by an embedded gate without building
+//! the embedding, in the same arithmetic order.
 
 use crate::complex::C64;
 use serde::{Deserialize, Serialize};
@@ -466,17 +468,9 @@ impl CMatrix {
     /// Panics if the operator dimension does not match `2^targets.len()`, if a
     /// target index repeats, or if a target is `>= n`.
     pub fn embed(&self, n: usize, targets: &[usize]) -> CMatrix {
+        self.assert_acts_on(n, targets);
         let k = targets.len();
         let dim_small = 1usize << k;
-        assert_eq!(self.rows, dim_small, "operator does not match target count");
-        assert!(self.is_square());
-        for (idx, t) in targets.iter().enumerate() {
-            assert!(*t < n, "target {t} out of range for {n} qubits");
-            assert!(
-                !targets[..idx].contains(t),
-                "duplicate target qubit {t} in embed"
-            );
-        }
         let dim = 1usize << n;
         let mut out = CMatrix::zeros(dim, dim);
         // For every basis state pair restricted to the non-target qubits, copy
@@ -511,6 +505,80 @@ impl CMatrix {
             }
         }
         out
+    }
+
+    /// Panics unless `self` is a `2^k × 2^k` operator for the `k` distinct
+    /// `targets`, each below `n`.
+    fn assert_acts_on(&self, n: usize, targets: &[usize]) {
+        assert_eq!(
+            self.rows,
+            1 << targets.len(),
+            "operator does not match target count"
+        );
+        assert!(self.is_square());
+        for (idx, t) in targets.iter().enumerate() {
+            assert!(*t < n, "target {t} out of range for {n} qubits");
+            assert!(!targets[..idx].contains(t), "duplicate target qubit {t}");
+        }
+    }
+
+    /// Left-multiplies `self` in place by a `k`-qubit operator acting on
+    /// `targets`: `self ← gate.embed(n, targets) · self`, where `self` has
+    /// `2ⁿ` rows. The `2ⁿ × 2ⁿ` embedding is never built. `rows` is scratch
+    /// for the `2ᵏ` rows the gate mixes, reused across calls.
+    ///
+    /// The result is bit-for-bit that of
+    /// `gate.embed(n, targets).matmul(self)`: each output row starts from
+    /// `+0.0` and adds the same nonzero gate entries times the same rows, in
+    /// the ascending row order [`matmul_into`](Self::matmul_into) visits them
+    /// (for reversed targets that is not the gate's own column order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` does not have `2ⁿ` rows, if the operator dimension
+    /// does not match `2^targets.len()`, if a target index repeats, or if a
+    /// target is `>= n`.
+    pub fn apply_gate(&mut self, gate: &CMatrix, targets: &[usize], rows: &mut Vec<C64>) {
+        assert!(self.rows.is_power_of_two(), "row count is not 2^n");
+        let n = self.rows.trailing_zeros() as usize;
+        gate.assert_acts_on(n, targets);
+        let k = targets.len();
+        let dim_small = 1usize << k;
+        // Gate basis state `b` sits at `base | offset(b)` in every group of
+        // rows the gate mixes; `by_offset` lists (offset, b) ascending.
+        let offset = |b: usize| {
+            targets.iter().enumerate().fold(0, |acc, (pos, &q)| {
+                acc | ((b >> (k - 1 - pos)) & 1) << (n - 1 - q)
+            })
+        };
+        let mut by_offset: Vec<(usize, usize)> = (0..dim_small).map(|b| (offset(b), b)).collect();
+        by_offset.sort_unstable();
+        let mask = offset(dim_small - 1);
+        let width = self.cols;
+        rows.clear();
+        rows.resize(dim_small * width, C64::zero());
+        let mut base = 0usize;
+        while base < self.rows {
+            for (slot, &(off, _)) in by_offset.iter().enumerate() {
+                rows[slot * width..(slot + 1) * width].copy_from_slice(self.row(base | off));
+            }
+            for &(off_a, a) in &by_offset {
+                let row = base | off_a;
+                let out = &mut self.data[row * width..(row + 1) * width];
+                out.fill(C64::zero());
+                for (slot, &(_, b)) in by_offset.iter().enumerate() {
+                    let g = gate[(a, b)];
+                    if g.re == 0.0 && g.im == 0.0 {
+                        continue;
+                    }
+                    for (o, &r) in out.iter_mut().zip(&rows[slot * width..(slot + 1) * width]) {
+                        *o += g * r;
+                    }
+                }
+            }
+            // The next index with every target bit clear.
+            base = ((base | mask) + 1) & !mask;
+        }
     }
 
     /// Raises a square matrix to a non-negative integer power.

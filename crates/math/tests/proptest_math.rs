@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use qcc_math::{expm, pauli, random_unitary, CMatrix, C64};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn small_angle() -> impl Strategy<Value = f64> {
     -6.0f64..6.0f64
@@ -95,6 +95,66 @@ proptest! {
         for (got, want) in solved.iter().zip(x.iter()) {
             prop_assert!(got.approx_eq(*want, 1e-8));
         }
+    }
+}
+
+/// A random `2^k`-dimensional gate on `k` distinct random targets out of `n`,
+/// in random order (so reversed targets are common), with about a third of
+/// its entries exactly `+0.0` or `-0.0`.
+fn random_gate(rng: &mut StdRng, n: usize) -> (CMatrix, Vec<usize>) {
+    let k = rng.gen_range(1..=n.min(3));
+    let mut targets = Vec::with_capacity(k);
+    while targets.len() < k {
+        let q = rng.gen_range(0..n);
+        if !targets.contains(&q) {
+            targets.push(q);
+        }
+    }
+    let mut gate = qcc_math::random_complex_matrix(rng, 1 << k, 1 << k);
+    for z in gate.as_mut_slice() {
+        match rng.gen_range(0..6) {
+            0 => *z = C64::zero(),
+            1 => *z = C64::new(-0.0, -0.0),
+            _ => {}
+        }
+    }
+    (gate, targets)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Applying gates in place is bit-for-bit embed-then-multiply, on the
+    /// identity and on a random rectangular start.
+    #[test]
+    fn apply_gate_matches_embed_and_matmul_bit_for_bit(
+        seed in 0u64..u64::MAX,
+        n in 1usize..6,
+        len in 1usize..21,
+        start in 0usize..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dim = 1usize << n;
+        let mut want = if start == 0 {
+            CMatrix::identity(dim)
+        } else {
+            let cols = rng.gen_range(1..=dim);
+            qcc_math::random_complex_matrix(&mut rng, dim, cols)
+        };
+        let mut got = want.clone();
+        let mut rows = Vec::new();
+        let mut product = CMatrix::default();
+        for _ in 0..len {
+            let (gate, targets) = random_gate(&mut rng, n);
+            gate.embed(n, &targets).matmul_into(&want, &mut product);
+            std::mem::swap(&mut want, &mut product);
+            got.apply_gate(&gate, &targets, &mut rows);
+        }
+        let bits = |m: &CMatrix| -> Vec<(u64, u64)> {
+            m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        prop_assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 }
 
