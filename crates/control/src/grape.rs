@@ -8,9 +8,9 @@
 //! clipped to the device limits after every update — the same "realistic
 //! experimental concerns" the paper's optimal-control unit enforces (§3.5).
 
-use crate::hamiltonian::TransmonSystem;
+use crate::hamiltonian::{StepPropagator, TransmonSystem};
 use crate::pulse::PulseProgram;
-use qcc_math::{expm, gate_fidelity, CMatrix, ExpmWorkspace, C64};
+use qcc_math::{gate_fidelity, with_storage, CMatrix, MatrixStorage, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -88,7 +88,9 @@ impl GrapeOptimizer {
     }
 
     /// Optimizes a pulse of `n_steps · dt` ns that implements `target` on
-    /// `system`.
+    /// `system`. The matrices live in a [`qcc_math::FixedMatrix`] when the
+    /// system has one to three qubits and in a [`CMatrix`] otherwise (see
+    /// [`with_storage!`]), with bit-identical results.
     ///
     /// # Panics
     ///
@@ -102,6 +104,16 @@ impl GrapeOptimizer {
     ) -> GrapeResult {
         assert_eq!(target.rows(), system.dim(), "target dimension mismatch");
         assert!(n_steps > 0, "pulse needs at least one step");
+        with_storage!(system.dim(), M => self.optimize_in::<M>(system, target, n_steps))
+    }
+
+    /// [`optimize`](Self::optimize) in storage `M`.
+    fn optimize_in<M: MatrixStorage>(
+        &self,
+        system: &TransmonSystem,
+        target: &CMatrix,
+        n_steps: usize,
+    ) -> GrapeResult {
         let cfg = &self.config;
         let n_controls = system.n_controls();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -119,25 +131,22 @@ impl GrapeOptimizer {
         let mut v = vec![vec![0.0f64; n_controls]; n_steps];
         let (beta1, beta2, eps) = (0.9f64, 0.999f64, 1e-8f64);
 
-        let mut best_pulse = pulse.clone();
+        let mut best_amplitudes = pulse.amplitudes.clone();
         let mut best_fid = 0.0;
         let mut iterations = 0;
-        // One workspace (propagators, partial products, expm scratch, the
-        // target adjoint) serves every gradient iteration of this run — the
-        // per-iteration matrix churn of the old code was the dominant
-        // allocation cost of a GRAPE solve.
-        let mut ws = GradientWorkspace::for_target(target);
+        let mut ws = GradientWorkspace::<M>::new(system, target, n_steps);
 
         for iter in 0..cfg.max_iterations {
             iterations = iter + 1;
-            let (fidelity, gradient) = fidelity_and_gradient_with(system, target, &pulse, &mut ws);
+            let fidelity = fidelity_and_gradient_with(&pulse, &mut ws);
             if fidelity > best_fid {
                 best_fid = fidelity;
-                best_pulse = pulse.clone();
+                best_amplitudes.clone_from(&pulse.amplitudes);
             }
             if fidelity >= cfg.target_fidelity {
+                pulse.amplitudes = best_amplitudes;
                 return GrapeResult {
-                    pulse: best_pulse,
+                    pulse,
                     fidelity: best_fid,
                     iterations,
                     converged: true,
@@ -147,7 +156,7 @@ impl GrapeOptimizer {
             let t = (iter + 1) as f64;
             for j in 0..n_steps {
                 for k in 0..n_controls {
-                    let g = gradient[j][k];
+                    let g = ws.gradient[j][k];
                     m[j][k] = beta1 * m[j][k] + (1.0 - beta1) * g;
                     v[j][k] = beta2 * v[j][k] + (1.0 - beta2) * g * g;
                     let m_hat = m[j][k] / (1.0 - beta1.powf(t));
@@ -162,11 +171,12 @@ impl GrapeOptimizer {
         let final_fid = gate_fidelity(&pulse.propagator(system), target);
         if final_fid > best_fid {
             best_fid = final_fid;
-            best_pulse = pulse;
+        } else {
+            pulse.amplitudes = best_amplitudes;
         }
         GrapeResult {
             converged: best_fid >= cfg.target_fidelity,
-            pulse: best_pulse,
+            pulse,
             fidelity: best_fid,
             iterations,
         }
@@ -215,44 +225,43 @@ impl GrapeOptimizer {
     }
 }
 
-/// Reusable buffers of one GRAPE run: the per-step propagators, the
-/// forward/backward partial products, the expm scratch, the target adjoint,
-/// and the two per-step products of the gradient loop. Allocated once per
-/// [`GrapeOptimizer::optimize`] call and reused across all of its gradient
-/// iterations (up to `max_iterations` of them), instead of reallocating
-/// `3·n_steps + ~12` matrices every iteration as the per-call version did.
-#[derive(Debug, Default)]
-struct GradientWorkspace {
-    expm: ExpmWorkspace,
-    step_props: Vec<CMatrix>,
-    forward: Vec<CMatrix>,
-    backward: Vec<CMatrix>,
-    total: CMatrix,
-    scaled_h: CMatrix,
-    c_j: CMatrix,
-    pc: CMatrix,
-    target_dag: CMatrix,
-    id: CMatrix,
+/// Reusable buffers of one GRAPE run in storage `M`: the system's operators
+/// and step scratch, the per-step propagators, the forward/backward partial
+/// products, the target and its adjoint, the two per-step products of the
+/// gradient loop, and the gradient itself. Built once per
+/// [`GrapeOptimizer::optimize`] call and reused by every gradient iteration,
+/// so an iteration allocates nothing.
+struct GradientWorkspace<M> {
+    steps: StepPropagator<M>,
+    step_props: Vec<M>,
+    forward: Vec<M>,
+    backward: Vec<M>,
+    total: M,
+    c_j: M,
+    pc: M,
+    target: M,
+    target_dag: M,
+    id: M,
+    /// `gradient[step][control]`, overwritten by every evaluation.
+    gradient: Vec<Vec<f64>>,
 }
 
-impl GradientWorkspace {
-    /// A workspace with the target adjoint (constant across iterations)
-    /// precomputed.
-    fn for_target(target: &CMatrix) -> Self {
+impl<M: MatrixStorage> GradientWorkspace<M> {
+    /// A workspace for `n_steps`-step pulses that implement `target` on
+    /// `system`.
+    fn new(system: &TransmonSystem, target: &CMatrix, n_steps: usize) -> Self {
         Self {
-            target_dag: target.dagger(),
-            ..Self::default()
-        }
-    }
-
-    /// Shapes the per-step buffer vectors for `n_steps` steps of dimension
-    /// `dim` (no-op when already shaped).
-    fn ensure(&mut self, n_steps: usize, dim: usize) {
-        self.step_props.resize_with(n_steps, CMatrix::default);
-        self.forward.resize_with(n_steps, CMatrix::default);
-        self.backward.resize_with(n_steps, CMatrix::default);
-        if self.id.rows() != dim {
-            self.id = CMatrix::identity(dim);
+            steps: StepPropagator::new(system),
+            step_props: vec![M::default(); n_steps],
+            forward: vec![M::default(); n_steps],
+            backward: vec![M::default(); n_steps],
+            total: M::default(),
+            c_j: M::default(),
+            pc: M::default(),
+            target: M::from_cmatrix(target),
+            target_dag: M::from_cmatrix(&target.dagger()),
+            id: M::identity(system.dim()),
+            gradient: vec![vec![0.0; system.n_controls()]; n_steps],
         }
     }
 }
@@ -260,42 +269,40 @@ impl GradientWorkspace {
 /// Computes the gate fidelity of the pulse and its gradient with respect to
 /// every amplitude, using the first-order GRAPE expressions. (The optimizer
 /// itself goes through [`fidelity_and_gradient_with`] to reuse buffers; this
-/// fresh-workspace wrapper serves the finite-difference test.)
+/// fresh-workspace wrapper serves the tests.)
 #[cfg(test)]
 fn fidelity_and_gradient(
     system: &TransmonSystem,
     target: &CMatrix,
     pulse: &PulseProgram,
 ) -> (f64, Vec<Vec<f64>>) {
-    fidelity_and_gradient_with(
-        system,
-        target,
-        pulse,
-        &mut GradientWorkspace::for_target(target),
-    )
+    fn run<M: MatrixStorage>(
+        system: &TransmonSystem,
+        target: &CMatrix,
+        pulse: &PulseProgram,
+    ) -> (f64, Vec<Vec<f64>>) {
+        let mut ws = GradientWorkspace::<M>::new(system, target, pulse.n_steps());
+        let fidelity = fidelity_and_gradient_with(pulse, &mut ws);
+        (fidelity, ws.gradient)
+    }
+    with_storage!(system.dim(), M => run::<M>(system, target, pulse))
 }
 
-/// [`fidelity_and_gradient`] against a reusable [`GradientWorkspace`] —
-/// `ws.target_dag` must be the adjoint of `target` (use
-/// [`GradientWorkspace::for_target`]).
-fn fidelity_and_gradient_with(
-    system: &TransmonSystem,
-    target: &CMatrix,
+/// The one body of GRAPE's fidelity-and-gradient evaluation, for either
+/// storage: returns the fidelity of `pulse` against the workspace's target
+/// and writes its gradient into `ws.gradient`.
+fn fidelity_and_gradient_with<M: MatrixStorage>(
     pulse: &PulseProgram,
-    ws: &mut GradientWorkspace,
-) -> (f64, Vec<Vec<f64>>) {
+    ws: &mut GradientWorkspace<M>,
+) -> f64 {
     let n_steps = pulse.n_steps();
-    let n_controls = system.n_controls();
-    let dim = system.dim();
+    let dim = ws.id.rows();
     let d = dim as f64;
     let two_pi_dt = 2.0 * std::f64::consts::PI * pulse.dt;
-    ws.ensure(n_steps, dim);
 
     // Step propagators and forward partial products P_j = U_j … U_1.
-    for (j, amps) in pulse.amplitudes.iter().enumerate() {
-        let h = system.hamiltonian(amps);
-        ws.scaled_h.scale_into(&h, C64::new(0.0, -two_pi_dt));
-        ws.step_props[j] = expm::expm_with(&ws.scaled_h, &mut ws.expm);
+    for (amps, u_j) in pulse.amplitudes.iter().zip(&mut ws.step_props) {
+        ws.steps.propagator_into(amps, two_pi_dt, u_j);
     }
     for j in 0..n_steps {
         // P_0 = U_1 · I, P_j = U_{j+1} · P_{j-1}: multiplying by the stored
@@ -312,36 +319,34 @@ fn fidelity_and_gradient_with(
         tail[0].matmul_into(&ws.step_props[j + 1], &mut head[j]);
     }
     ws.backward[0].matmul_into(&ws.step_props[0], &mut ws.total);
-    let overlap = target.hs_inner(&ws.total); // tr(target† U_total)
+    let overlap = ws.target.hs_inner(&ws.total); // tr(target† U_total)
     let fidelity = overlap.norm_sqr() / (d * d);
 
     // Gradient: dF/du_{j,k} = (2/d²)·Re[ conj(g)·tr(target† B_j ∂U_j P_{j-1}) ]
     // with the first-order approximation ∂U_j ≈ -i·2π·dt·H_k·U_j, so
     // tr(target† B_j (-i 2π dt H_k) U_j P_{j-1}) = -i 2π dt · tr(C_j H_k P_j)
     // where C_j = target† B_j and P_j = forward[j].
-    let mut gradient = vec![vec![0.0f64; n_controls]; n_steps];
-    for (j, grad_row) in gradient.iter_mut().enumerate() {
+    for (j, grad_row) in ws.gradient.iter_mut().enumerate() {
         ws.target_dag.matmul_into(&ws.backward[j], &mut ws.c_j);
         // Using the cyclic property: tr(C_j H_k P_j) = tr(P_j C_j H_k), so one
         // matmul per step suffices and each control costs only a trace.
         ws.forward[j].matmul_into(&ws.c_j, &mut ws.pc);
-        for (k, (_, h_k, _)) in system.controls().iter().enumerate() {
+        for (h_k, grad) in ws.steps.controls().iter().zip(grad_row.iter_mut()) {
             // tr(P_j C_j H_k) = Σ_{a,b} (P_j C_j)[a,b] · H_k[b,a].
             let mut tr = C64::zero();
             for a in 0..dim {
                 for b in 0..dim {
-                    let h = h_k[(b, a)];
+                    let h = h_k.get(b, a);
                     if h.re != 0.0 || h.im != 0.0 {
-                        tr += ws.pc[(a, b)] * h;
+                        tr += ws.pc.get(a, b) * h;
                     }
                 }
             }
             let term = C64::new(0.0, -two_pi_dt) * tr;
-            let grad = 2.0 * (overlap.conj() * term).re / (d * d);
-            grad_row[k] = grad;
+            *grad = 2.0 * (overlap.conj() * term).re / (d * d);
         }
     }
-    (fidelity, gradient)
+    fidelity
 }
 
 /// Convenience wrapper: optimize `target` on `system` with default settings and
@@ -356,11 +361,167 @@ pub fn optimize_pulse(
     GrapeOptimizer::new(config).optimize(system, target, n_steps)
 }
 
+/// The fidelity-and-gradient evaluation as it stood before
+/// [`MatrixStorage`]: `CMatrix` only, a fresh Hamiltonian and gradient per
+/// step and iteration. Frozen as the bit-identity reference for
+/// [`fidelity_and_gradient_with`].
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use qcc_math::expm;
+
+    #[derive(Debug, Default)]
+    pub(super) struct GradientWorkspace {
+        step_props: Vec<CMatrix>,
+        forward: Vec<CMatrix>,
+        backward: Vec<CMatrix>,
+        total: CMatrix,
+        scaled_h: CMatrix,
+        c_j: CMatrix,
+        pc: CMatrix,
+        target_dag: CMatrix,
+        id: CMatrix,
+    }
+
+    impl GradientWorkspace {
+        pub(super) fn for_target(target: &CMatrix) -> Self {
+            Self {
+                target_dag: target.dagger(),
+                ..Self::default()
+            }
+        }
+
+        fn ensure(&mut self, n_steps: usize, dim: usize) {
+            self.step_props.resize_with(n_steps, CMatrix::default);
+            self.forward.resize_with(n_steps, CMatrix::default);
+            self.backward.resize_with(n_steps, CMatrix::default);
+            if self.id.rows() != dim {
+                self.id = CMatrix::identity(dim);
+            }
+        }
+    }
+
+    fn hamiltonian(system: &TransmonSystem, amplitudes: &[f64]) -> CMatrix {
+        assert_eq!(amplitudes.len(), system.n_controls(), "amplitude count");
+        let mut h = system.drift().clone();
+        for (u, (_, op, _)) in amplitudes.iter().zip(system.controls().iter()) {
+            if *u != 0.0 {
+                h += &op.scale_re(*u);
+            }
+        }
+        h
+    }
+
+    pub(super) fn fidelity_and_gradient_with(
+        system: &TransmonSystem,
+        target: &CMatrix,
+        pulse: &PulseProgram,
+        ws: &mut GradientWorkspace,
+    ) -> (f64, Vec<Vec<f64>>) {
+        let n_steps = pulse.n_steps();
+        let n_controls = system.n_controls();
+        let dim = system.dim();
+        let d = dim as f64;
+        let two_pi_dt = 2.0 * std::f64::consts::PI * pulse.dt;
+        ws.ensure(n_steps, dim);
+
+        for (j, amps) in pulse.amplitudes.iter().enumerate() {
+            let h = hamiltonian(system, amps);
+            ws.scaled_h.scale_into(&h, C64::new(0.0, -two_pi_dt));
+            ws.step_props[j] = expm::expm(&ws.scaled_h);
+        }
+        for j in 0..n_steps {
+            let (done, rest) = ws.forward.split_at_mut(j);
+            let prev = if j == 0 { &ws.id } else { &done[j - 1] };
+            ws.step_props[j].matmul_into(prev, &mut rest[0]);
+        }
+        ws.backward[n_steps - 1].copy_from(&ws.id);
+        for j in (0..n_steps.saturating_sub(1)).rev() {
+            let (head, tail) = ws.backward.split_at_mut(j + 1);
+            tail[0].matmul_into(&ws.step_props[j + 1], &mut head[j]);
+        }
+        ws.backward[0].matmul_into(&ws.step_props[0], &mut ws.total);
+        let overlap = target.hs_inner(&ws.total);
+        let fidelity = overlap.norm_sqr() / (d * d);
+
+        let mut gradient = vec![vec![0.0f64; n_controls]; n_steps];
+        for (j, grad_row) in gradient.iter_mut().enumerate() {
+            ws.target_dag.matmul_into(&ws.backward[j], &mut ws.c_j);
+            ws.forward[j].matmul_into(&ws.c_j, &mut ws.pc);
+            for (k, (_, h_k, _)) in system.controls().iter().enumerate() {
+                let mut tr = C64::zero();
+                for a in 0..dim {
+                    for b in 0..dim {
+                        let h = h_k[(b, a)];
+                        if h.re != 0.0 || h.im != 0.0 {
+                            tr += ws.pc[(a, b)] * h;
+                        }
+                    }
+                }
+                let term = C64::new(0.0, -two_pi_dt) * tr;
+                let grad = 2.0 * (overlap.conj() * term).re / (d * d);
+                grad_row[k] = grad;
+            }
+        }
+        (fidelity, gradient)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use qcc_hw::ControlLimits;
-    use qcc_math::pauli;
+    use qcc_math::{pauli, random_unitary};
+
+    /// A random pulse on a fully coupled register of 1–4 qubits (the last on
+    /// the `CMatrix` path), with about a quarter of the amplitudes exactly
+    /// zero, and a random target; checks the fidelity and every gradient
+    /// entry against the frozen reference bit for bit.
+    fn gradient_matches_reference(seed: u64, n_qubits: usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sys = TransmonSystem::fully_coupled(n_qubits, ControlLimits::asplos19());
+        let target = random_unitary(&mut rng, sys.dim());
+        let n_steps = rng.gen_range(1..24);
+        let mut pulse = PulseProgram::zeros(&sys, n_steps, rng.gen_range(0.1..1.0));
+        for step in &mut pulse.amplitudes {
+            for (k, u) in step.iter_mut().enumerate() {
+                if rng.gen_range(0..4) != 0 {
+                    *u = rng.gen_range(-1.0..1.0) * sys.limit(k);
+                }
+            }
+        }
+        let (fidelity, gradient) = fidelity_and_gradient(&sys, &target, &pulse);
+        let (want_fidelity, want_gradient) = reference::fidelity_and_gradient_with(
+            &sys,
+            &target,
+            &pulse,
+            &mut reference::GradientWorkspace::for_target(&target),
+        );
+        assert_eq!(fidelity.to_bits(), want_fidelity.to_bits(), "fidelity");
+        for (j, (row, want_row)) in gradient.iter().zip(&want_gradient).enumerate() {
+            for (k, (g, want)) in row.iter().zip(want_row).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    want.to_bits(),
+                    "step {j} control {k}: {g} vs {want}"
+                );
+            }
+        }
+    }
+
+    /// Randomized over seeds, as a property test would be (this crate
+    /// takes no `proptest` dependency).
+    #[test]
+    fn gradient_matches_the_frozen_reference_bit_for_bit() {
+        for seed in 0..48 {
+            for n_qubits in 1..=3 {
+                gradient_matches_reference(seed, n_qubits);
+            }
+        }
+        for seed in 48..52 {
+            gradient_matches_reference(seed, 4);
+        }
+    }
 
     fn single_qubit_system() -> TransmonSystem {
         TransmonSystem::new(1, &[], ControlLimits::asplos19())

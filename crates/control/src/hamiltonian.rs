@@ -7,7 +7,7 @@
 //! system is modelled in the computational subspace.
 
 use qcc_hw::ControlLimits;
-use qcc_math::{pauli, CMatrix};
+use qcc_math::{expm_into, pauli, CMatrix, ExpmWorkspace, MatrixStorage, C64};
 use serde::{Deserialize, Serialize};
 
 /// Identifies one control field of a [`TransmonSystem`].
@@ -137,14 +137,82 @@ impl TransmonSystem {
     ///
     /// Panics if `amplitudes.len() != n_controls()`.
     pub fn hamiltonian(&self, amplitudes: &[f64]) -> CMatrix {
-        assert_eq!(amplitudes.len(), self.controls.len(), "amplitude count");
-        let mut h = self.drift.clone();
-        for (u, (_, op, _)) in amplitudes.iter().zip(self.controls.iter()) {
-            if *u != 0.0 {
-                h += &op.scale_re(*u);
-            }
-        }
+        let mut h = CMatrix::default();
+        let controls = self.controls.iter().map(|(_, op, _)| op);
+        hamiltonian_into(&self.drift, controls, amplitudes, &mut h);
         h
+    }
+}
+
+/// Writes `H = drift + Σ_k u_k·H_k` into `h`, skipping zero amplitudes: the
+/// one body of the step Hamiltonian, for either storage.
+///
+/// # Panics
+///
+/// Panics if the amplitude and control counts differ.
+fn hamiltonian_into<'a, M: MatrixStorage + 'a>(
+    drift: &M,
+    controls: impl ExactSizeIterator<Item = &'a M>,
+    amplitudes: &[f64],
+    h: &mut M,
+) {
+    assert_eq!(amplitudes.len(), controls.len(), "amplitude count");
+    h.copy_from(drift);
+    for (u, op) in amplitudes.iter().zip(controls) {
+        if *u != 0.0 {
+            h.add_scaled(op, C64::real(*u));
+        }
+    }
+}
+
+/// A [`TransmonSystem`]'s drift and control operators in storage `M`, with
+/// the buffers of one step propagator `exp(-i·2π·dt·H(u))`: the one
+/// step-propagator routine, shared by GRAPE and
+/// [`PulseProgram::propagator`](crate::PulseProgram::propagator).
+#[derive(Debug)]
+pub(crate) struct StepPropagator<M> {
+    drift: M,
+    controls: Vec<M>,
+    h: M,
+    exponent: M,
+    expm: ExpmWorkspace<M>,
+}
+
+impl<M: MatrixStorage> StepPropagator<M> {
+    /// Copies `system`'s operators into storage `M`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `M` cannot hold `system.dim()`.
+    pub(crate) fn new(system: &TransmonSystem) -> Self {
+        Self {
+            drift: M::from_cmatrix(&system.drift),
+            controls: system
+                .controls
+                .iter()
+                .map(|(_, op, _)| M::from_cmatrix(op))
+                .collect(),
+            h: M::default(),
+            exponent: M::default(),
+            expm: ExpmWorkspace::new(),
+        }
+    }
+
+    /// The control operators, in the system's order.
+    pub(crate) fn controls(&self) -> &[M] {
+        &self.controls
+    }
+
+    /// Writes the step propagator `exp(-i·2π·dt·H(u))` for the amplitudes
+    /// `u` into `out`, where `two_pi_dt` is `2π·dt`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the amplitude count is wrong or an amplitude is not finite.
+    pub(crate) fn propagator_into(&mut self, amplitudes: &[f64], two_pi_dt: f64, out: &mut M) {
+        hamiltonian_into(&self.drift, self.controls.iter(), amplitudes, &mut self.h);
+        self.exponent.scale_into(&self.h, C64::new(0.0, -two_pi_dt));
+        expm_into(&self.exponent, &mut self.expm, out).expect("expm: non-finite input");
     }
 }
 

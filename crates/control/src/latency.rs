@@ -994,4 +994,47 @@ mod tests {
         let wrong = verify_pulse(&sys, &result, &pauli::sigma_z(), 0.9);
         assert!(!wrong.passed);
     }
+
+    /// The minimum-time search on perfbench's GRAPE probe set, pinned bit
+    /// for bit: any change to the arithmetic of the step propagators, the
+    /// gradient or the Adam loop moves a duration, a fidelity or an
+    /// iteration count here.
+    #[test]
+    fn probe_set_solves_are_pinned_bit_for_bit() {
+        let model = GrapeLatencyModel::fast_two_qubit();
+        let golden = [
+            (Gate::X, vec![0], 0x4014000000000000, 0x3fefb169e38cce1e, 12),
+            (Gate::H, vec![0], 0x4014000000000000, 0x3fefb336b5e47800, 31),
+            (
+                Gate::Cnot,
+                vec![0, 1],
+                0x402d000000000000,
+                0x3fefaf5900524c1a,
+                83,
+            ),
+            (
+                Gate::Rzz(0.9),
+                vec![0, 1],
+                0x402414bb834c783f,
+                0x3fefb3c7f4538719,
+                56,
+            ),
+        ];
+        let mut total = 0;
+        for (gate, qubits, duration, fidelity, iterations) in golden {
+            let (t, result) = model
+                .optimize_instruction(&[Instruction::new(gate, qubits)])
+                .expect("within the model's width");
+            assert_eq!(t.to_bits(), duration, "{gate:?} duration {t}");
+            assert_eq!(
+                result.fidelity.to_bits(),
+                fidelity,
+                "{gate:?} fidelity {}",
+                result.fidelity
+            );
+            assert_eq!(result.iterations, iterations, "{gate:?} iterations");
+            total += result.iterations;
+        }
+        assert_eq!(total, 182);
+    }
 }

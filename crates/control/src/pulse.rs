@@ -1,8 +1,7 @@
 //! Piecewise-constant pulse programs.
 
-use crate::hamiltonian::{ControlKind, TransmonSystem};
-use qcc_math::CMatrix;
-use qcc_sim::PiecewiseHamiltonian;
+use crate::hamiltonian::{ControlKind, StepPropagator, TransmonSystem};
+use qcc_math::{with_storage, CMatrix, MatrixStorage};
 use serde::{Deserialize, Serialize};
 
 /// A pulse program: amplitudes (GHz) for every control field over a sequence
@@ -77,17 +76,32 @@ impl PulseProgram {
             .all(|(p, l)| *p <= *l + tol)
     }
 
-    /// The exact propagator generated by this pulse on the given system.
+    /// The exact propagator `U_N ⋯ U_2·U_1` generated by this pulse on the
+    /// given system, where `U_j = exp(-i·2π·dt·H(u_j))`: the `2π` turns
+    /// amplitudes in GHz and times in ns into phase. This is how pulses are
+    /// verified against their target unitaries (§3.6).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a step's amplitude count differs from the system's control
+    /// count.
     pub fn propagator(&self, system: &TransmonSystem) -> CMatrix {
-        let ph = PiecewiseHamiltonian::new(
-            system.drift().clone(),
-            system
-                .controls()
-                .iter()
-                .map(|(_, op, _)| op.clone())
-                .collect(),
-        );
-        ph.propagate(&self.amplitudes, self.dt)
+        with_storage!(system.dim(), M => self.propagator_in::<M>(system))
+    }
+
+    /// [`propagator`](Self::propagator) in storage `M`, multiplying each
+    /// step onto the running product from the identity.
+    fn propagator_in<M: MatrixStorage>(&self, system: &TransmonSystem) -> CMatrix {
+        let mut steps = StepPropagator::<M>::new(system);
+        let two_pi_dt = 2.0 * std::f64::consts::PI * self.dt;
+        let mut u = M::identity(system.dim());
+        let (mut step, mut next) = (M::default(), M::default());
+        for amplitudes in &self.amplitudes {
+            steps.propagator_into(amplitudes, two_pi_dt, &mut step);
+            step.matmul_into(&u, &mut next);
+            std::mem::swap(&mut u, &mut next);
+        }
+        u.to_cmatrix()
     }
 
     /// Serializes the pulse as CSV (`time_ns,label1,label2,…`) for plotting,
@@ -121,6 +135,8 @@ impl PulseProgram {
 mod tests {
     use super::*;
     use qcc_hw::ControlLimits;
+    use qcc_math::{gate_fidelity, pauli};
+    use std::f64::consts::PI;
 
     fn two_qubit_system() -> TransmonSystem {
         TransmonSystem::new(2, &[(0, 1)], ControlLimits::asplos19())
@@ -134,7 +150,66 @@ mod tests {
         assert_eq!(p.n_controls(), 5);
         assert!((p.duration() - 10.0).abs() < 1e-12);
         assert!(p.respects_limits(0.0));
-        assert!(p.propagator(&sys).is_identity(1e-10));
+        assert!(p.propagator(&sys).is_identity(1e-12));
+    }
+
+    #[test]
+    fn constant_x_drive_produces_rotation() {
+        // Driving σx/2 with amplitude Ω for time t rotates by θ = 2π·Ω·t.
+        let sys = TransmonSystem::new(1, &[], ControlLimits::asplos19());
+        let omega = 0.1; // GHz
+        let t_total = 2.5; // ns -> θ = 2π·0.25 = π/2
+        let steps = 50;
+        let mut p = PulseProgram::zeros(&sys, steps, t_total / steps as f64);
+        let x = p.control_index(&ControlKind::DriveX(0)).expect("x drive");
+        for step in &mut p.amplitudes {
+            step[x] = omega;
+        }
+        let want = pauli::rx(2.0 * PI * omega * t_total);
+        assert!(gate_fidelity(&p.propagator(&sys), &want) > 1.0 - 1e-9);
+    }
+
+    #[test]
+    fn xy_coupling_produces_iswap() {
+        // H = u·(XX+YY)/2, with ∫u dt = 1/4 (in cycles) giving iSWAP.
+        let sys = two_qubit_system();
+        let u_max = 0.02; // GHz, the paper's two-qubit drive limit
+        let t_total = 12.5; // ns ⇒ 2π·0.02·12.5 = π/2 rotation of the XY block
+        let steps = 100;
+        let mut p = PulseProgram::zeros(&sys, steps, t_total / steps as f64);
+        let xy = p
+            .control_index(&ControlKind::Coupling(0, 1))
+            .expect("coupling");
+        // A negative drive of the XY term generates iSWAP (a positive one
+        // generates iSWAP†); either way the magnitude stays within the limit.
+        for step in &mut p.amplitudes {
+            step[xy] = -u_max;
+        }
+        let fid = gate_fidelity(&p.propagator(&sys), &pauli::iswap());
+        assert!(fid > 1.0 - 1e-6, "fidelity {fid}");
+    }
+
+    #[test]
+    fn propagator_is_unitary_for_random_pulse() {
+        for n_qubits in 1..=4 {
+            let sys = TransmonSystem::fully_coupled(n_qubits, ControlLimits::asplos19());
+            let mut p = PulseProgram::zeros(&sys, 20, 0.5);
+            for (i, step) in p.amplitudes.iter_mut().enumerate() {
+                for (k, u) in step.iter_mut().enumerate() {
+                    *u = 0.05 * (((i + k) % 5) as f64 - 2.0);
+                }
+            }
+            assert!(p.propagator(&sys).is_unitary(1e-9), "{n_qubits} qubits");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "amplitude count")]
+    fn mismatched_amplitudes_panic() {
+        let sys = TransmonSystem::new(1, &[], ControlLimits::asplos19());
+        let mut p = PulseProgram::zeros(&sys, 3, 0.5);
+        p.amplitudes[1].push(0.1);
+        p.propagator(&sys);
     }
 
     #[test]

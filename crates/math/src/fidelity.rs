@@ -5,7 +5,7 @@
 //! `F = |tr(U_target† U)|² / d²`.
 
 use crate::complex::C64;
-use crate::matrix::CMatrix;
+use crate::matrix::{CMatrix, MatrixStorage};
 
 /// Phase-insensitive gate (process) fidelity between two unitaries.
 ///

@@ -8,12 +8,18 @@
 //!
 //! The crate is deliberately sized for the regime of the ASPLOS'19 paper this
 //! workspace reproduces: unitaries of at most ten qubits (1024×1024), dense
-//! storage, `f64` precision. Every product is the one scalar loop of
-//! [`CMatrix::matmul_into`], or [`CMatrix::apply_gate`] for a gate applied to
-//! a running product in the same arithmetic order. Its hot caller is the
-//! optimal-control unit, whose products stay at 8×8 or below for every GRAPE
-//! model in the workspace (none covers more than three qubits); it goes
-//! through an [`ExpmWorkspace`] that reuses the buffers across calls.
+//! storage, `f64` precision. Matrices come in two storages behind one
+//! kernel trait, [`MatrixStorage`]: [`CMatrix`] for any size, and
+//! [`FixedMatrix`] for a size fixed at compile time, with no heap storage.
+//! The optimal-control unit, the hot caller, uses `FixedMatrix` at 2×2, 4×4
+//! and 8×8, the sizes of every GRAPE model in the workspace (none covers
+//! more than three qubits). The Padé exponential ([`expm_into`]), the LU
+//! solve and GRAPE's gradient are each written once against the trait, and
+//! every kernel does the same `f64` operations in the same order on both
+//! storages, so their results are bit-identical. [`expm()`] picks
+//! `FixedMatrix` for 2×2, 4×4 and 8×8 inputs. [`CMatrix::apply_gate`] applies
+//! a gate to a running product in the arithmetic order of
+//! [`CMatrix::matmul_into`].
 //!
 //! ## Example
 //!
@@ -37,10 +43,10 @@ pub mod pauli;
 pub mod random;
 
 pub use complex::{c64, C64};
-pub use expm::{expm, expm_with, propagator, try_expm, try_expm_with, ExpmWorkspace};
+pub use expm::{expm, expm_into, propagator, try_expm, ExpmWorkspace};
 pub use fidelity::{
     average_gate_fidelity, frobenius_distance, gate_fidelity, gate_infidelity, state_fidelity,
 };
 pub use linalg::{det, inverse, solve, solve_matrix, LinalgError, LuDecomposition};
-pub use matrix::CMatrix;
+pub use matrix::{CMatrix, FixedMatrix, MatrixStorage};
 pub use random::{random_complex_matrix, random_hermitian, random_unitary};

@@ -1,11 +1,13 @@
 //! Dense linear solvers: LU decomposition with partial pivoting, linear solves,
 //! matrix inversion, and determinants for complex matrices.
 //!
-//! These are needed by the Padé matrix exponential ([`crate::expm::expm`]) and by the
-//! optimal-control unit's diagnostics.
+//! The factorization and the substitution are written once, against
+//! [`MatrixStorage`]: the Padé matrix exponential ([`crate::expm::expm`])
+//! runs them on whichever storage it exponentiates, and
+//! [`LuDecomposition`] runs them on [`CMatrix`].
 
 use crate::complex::C64;
-use crate::matrix::CMatrix;
+use crate::matrix::{CMatrix, MatrixStorage};
 use std::fmt;
 
 /// Error type for the linear-algebra routines in this module.
@@ -17,6 +19,8 @@ pub enum LinalgError {
     NotSquare,
     /// Right-hand side dimensions do not match the matrix.
     DimensionMismatch,
+    /// The input has a NaN or infinite entry, or its 1-norm overflows.
+    NonFinite,
 }
 
 impl fmt::Display for LinalgError {
@@ -25,6 +29,7 @@ impl fmt::Display for LinalgError {
             LinalgError::Singular => write!(f, "matrix is singular to working precision"),
             LinalgError::NotSquare => write!(f, "operation requires a square matrix"),
             LinalgError::DimensionMismatch => write!(f, "dimension mismatch"),
+            LinalgError::NonFinite => write!(f, "input has a non-finite entry or norm"),
         }
     }
 }
@@ -55,44 +60,13 @@ impl LuDecomposition {
         if !a.is_square() {
             return Err(LinalgError::NotSquare);
         }
-        let n = a.rows();
         let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
+        let mut perm: Vec<usize> = (0..a.rows()).collect();
         let mut sign = 1.0;
-        for col in 0..n {
-            // Find pivot: row with largest modulus in this column at/below diag.
-            let mut pivot_row = col;
-            let mut pivot_abs = lu[(col, col)].abs();
-            for r in (col + 1)..n {
-                let v = lu[(r, col)].abs();
-                if v > pivot_abs {
-                    pivot_abs = v;
-                    pivot_row = r;
-                }
-            }
-            if pivot_abs < 1e-300 {
-                return Err(LinalgError::Singular);
-            }
-            if pivot_row != col {
-                for c in 0..n {
-                    let tmp = lu[(col, c)];
-                    lu[(col, c)] = lu[(pivot_row, c)];
-                    lu[(pivot_row, c)] = tmp;
-                }
-                perm.swap(col, pivot_row);
-                sign = -sign;
-            }
-            let pivot = lu[(col, col)];
-            let pivot_inv = pivot.recip();
-            for r in (col + 1)..n {
-                let factor = lu[(r, col)] * pivot_inv;
-                lu[(r, col)] = factor;
-                for c in (col + 1)..n {
-                    let sub = factor * lu[(col, c)];
-                    lu[(r, c)] -= sub;
-                }
-            }
-        }
+        lu_factor(&mut lu, |col, pivot_row| {
+            perm.swap(col, pivot_row);
+            sign = -sign;
+        })?;
         Ok(Self { lu, perm, sign })
     }
 
@@ -111,24 +85,9 @@ impl LuDecomposition {
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch);
         }
-        // Apply permutation.
-        let mut y: Vec<C64> = (0..n).map(|i| b[self.perm[i]]).collect();
-        // Forward substitution with unit lower-triangular L.
-        for i in 0..n {
-            for j in 0..i {
-                let sub = self.lu[(i, j)] * y[j];
-                y[i] -= sub;
-            }
-        }
-        // Back substitution with U.
-        for i in (0..n).rev() {
-            for j in (i + 1)..n {
-                let sub = self.lu[(i, j)] * y[j];
-                y[i] -= sub;
-            }
-            y[i] /= self.lu[(i, i)];
-        }
-        Ok(y)
+        let mut y = CMatrix::from_vec(n, 1, self.perm.iter().map(|&p| b[p]).collect());
+        lu_substitute(&self.lu, &mut y);
+        Ok(y.as_slice().to_vec())
     }
 
     /// Solves `A X = B` column by column.
@@ -141,18 +100,14 @@ impl LuDecomposition {
         if b.rows() != n {
             return Err(LinalgError::DimensionMismatch);
         }
-        let mut out = CMatrix::zeros(n, b.cols());
-        let mut col = vec![C64::zero(); n];
-        for c in 0..b.cols() {
-            for r in 0..n {
-                col[r] = b[(r, c)];
-            }
-            let x = self.solve_vec(&col)?;
-            for r in 0..n {
-                out[(r, c)] = x[r];
+        let mut x = CMatrix::zeros(n, b.cols());
+        for (r, &p) in self.perm.iter().enumerate() {
+            for c in 0..b.cols() {
+                x[(r, c)] = b[(p, c)];
             }
         }
-        Ok(out)
+        lu_substitute(&self.lu, &mut x);
+        Ok(x)
     }
 
     /// Determinant of the factored matrix.
@@ -163,6 +118,75 @@ impl LuDecomposition {
             d *= self.lu[(i, i)];
         }
         d
+    }
+}
+
+/// Factors the square `lu` in place into `P·A = L·U` by Gaussian elimination
+/// with partial pivoting: unit lower-triangular `L` below the diagonal, `U`
+/// on and above it. The pivot of each column is the entry of largest modulus
+/// (`hypot`) on or below the diagonal, the first one on a tie. Each row
+/// exchange is applied to `lu` and reported as `on_swap(col, pivot_row)`, so
+/// a caller can permute a right-hand side in step or record the permutation.
+///
+/// # Errors
+///
+/// Returns [`LinalgError::Singular`] when a pivot's modulus is below
+/// `1e-300`; `lu` is then partly factored.
+pub(crate) fn lu_factor<M: MatrixStorage>(
+    lu: &mut M,
+    mut on_swap: impl FnMut(usize, usize),
+) -> Result<(), LinalgError> {
+    let n = lu.rows();
+    for col in 0..n {
+        let mut pivot_row = col;
+        let mut pivot_abs = lu.get(col, col).abs();
+        for r in (col + 1)..n {
+            let v = lu.get(r, col).abs();
+            if v > pivot_abs {
+                pivot_abs = v;
+                pivot_row = r;
+            }
+        }
+        if pivot_abs < 1e-300 {
+            return Err(LinalgError::Singular);
+        }
+        if pivot_row != col {
+            lu.swap_rows(col, pivot_row);
+            on_swap(col, pivot_row);
+        }
+        let pivot_inv = lu.get(col, col).recip();
+        for r in (col + 1)..n {
+            let factor = lu.get(r, col) * pivot_inv;
+            lu.set(r, col, factor);
+            for c in (col + 1)..n {
+                let sub = factor * lu.get(col, c);
+                lu.set(r, c, lu.get(r, c) - sub);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Overwrites `b`, already permuted by the factorization's row exchanges,
+/// with the solution `X` of `L·U·X = b`: forward substitution with the unit
+/// lower triangle of a [`lu_factor`] result, then back substitution with its
+/// upper triangle, one column at a time.
+pub(crate) fn lu_substitute<M: MatrixStorage>(lu: &M, b: &mut M) {
+    let n = lu.rows();
+    for c in 0..b.cols() {
+        for i in 0..n {
+            for j in 0..i {
+                let sub = lu.get(i, j) * b.get(j, c);
+                b.set(i, c, b.get(i, c) - sub);
+            }
+        }
+        for i in (0..n).rev() {
+            for j in (i + 1)..n {
+                let sub = lu.get(i, j) * b.get(j, c);
+                b.set(i, c, b.get(i, c) - sub);
+            }
+            b.set(i, c, b.get(i, c) / lu.get(i, i));
+        }
     }
 }
 

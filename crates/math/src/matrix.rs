@@ -1,11 +1,17 @@
-//! Dense, row-major complex matrices.
+//! Dense complex matrices in two storages behind one kernel trait.
 //!
-//! Sizes in this workspace are at most `2^10 × 2^10` (ten-qubit unitaries),
-//! dense, `f64` precision, stored row-major as `Vec<C64>`. Multiplication is
-//! the scalar ikj loop of [`CMatrix::matmul_into`]; the hot paths (`expm`,
-//! the GRAPE propagator chain) call it with reused output buffers.
+//! [`CMatrix`] holds any size up to `2^10 × 2^10` (ten-qubit unitaries) as a
+//! row-major `Vec<C64>`. [`FixedMatrix<N>`](FixedMatrix) holds an `N × N`
+//! matrix whose size is fixed at compile time, in split real and imaginary
+//! planes with no heap storage; the workspace uses it at `N` = 2, 4 and 8,
+//! the sizes of every GRAPE model. [`MatrixStorage`] is the set of kernels
+//! both provide — the ikj product, scale, add, row swap, trace inner
+//! product, 1-norm — and the Padé exponential, the LU solve and GRAPE's
+//! gradient are each written once against it. Every kernel performs the
+//! same `f64` operations in the same order on both storages, so an
+//! algorithm's result is bit-for-bit the same on either.
 //! [`CMatrix::apply_gate`] multiplies by an embedded gate without building
-//! the embedding, in the same arithmetic order.
+//! the embedding, in the arithmetic order of [`CMatrix::matmul_into`].
 
 use crate::complex::C64;
 use serde::{Deserialize, Serialize};
@@ -192,16 +198,6 @@ impl CMatrix {
         self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
     }
 
-    /// 1-norm (maximum absolute column sum), used for `expm` scaling.
-    pub fn one_norm(&self) -> f64 {
-        let mut best = 0.0f64;
-        for j in 0..self.cols {
-            let s: f64 = (0..self.rows).map(|i| self[(i, j)].abs()).sum();
-            best = best.max(s);
-        }
-        best
-    }
-
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().map(|z| z.abs()).fold(0.0, f64::max)
@@ -344,17 +340,6 @@ impl CMatrix {
             }
         }
         out
-    }
-
-    /// Inner (Hilbert–Schmidt) product `tr(self† rhs)`.
-    pub fn hs_inner(&self, rhs: &CMatrix) -> C64 {
-        assert_eq!(self.rows, rhs.rows);
-        assert_eq!(self.cols, rhs.cols);
-        self.data
-            .iter()
-            .zip(rhs.data.iter())
-            .map(|(a, b)| a.conj() * *b)
-            .sum()
     }
 
     /// Returns `true` when every entry differs from `other` by at most `tol`.
@@ -696,6 +681,379 @@ impl fmt::Display for CMatrix {
         }
         write!(f, "]")
     }
+}
+
+/// The matrix kernels that the Padé exponential ([`crate::expm_into`]), the LU
+/// solve ([`crate::linalg`]) and GRAPE's gradient evaluation are written
+/// against, implemented by [`CMatrix`] (any size) and [`FixedMatrix`] (a
+/// size fixed at compile time).
+///
+/// Both storages perform the same `f64` operations in the same order in
+/// every kernel: products run the ikj loop from `+0.0`, skipping zero
+/// left-hand entries; scaling multiplies each entry by the full complex
+/// scalar, even a real one, which decides the sign of zero results. So an
+/// algorithm written once against this trait returns bit-identical results
+/// on either storage. A [`Default`] value is a placeholder buffer: each
+/// kernel that writes a whole matrix (`matmul_into`, `scale_into`,
+/// `copy_from`) shapes its output first.
+pub trait MatrixStorage: Clone + Default {
+    /// The `n × n` identity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the storage cannot hold an `n × n` matrix.
+    fn identity(n: usize) -> Self;
+
+    /// A copy of `a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the storage cannot hold `a`'s shape.
+    fn from_cmatrix(a: &CMatrix) -> Self;
+
+    /// A copy as a [`CMatrix`].
+    fn to_cmatrix(&self) -> CMatrix;
+
+    /// Number of rows.
+    fn rows(&self) -> usize;
+
+    /// Number of columns.
+    fn cols(&self) -> usize;
+
+    /// Entry `(r, c)`.
+    fn get(&self, r: usize, c: usize) -> C64;
+
+    /// Overwrites entry `(r, c)`.
+    fn set(&mut self, r: usize, c: usize, v: C64);
+
+    /// Exchanges rows `a` and `b`.
+    fn swap_rows(&mut self, a: usize, b: usize);
+
+    /// Writes `self * rhs` into `out`. `self` and `rhs` may be the same
+    /// matrix (squaring).
+    fn matmul_into(&self, rhs: &Self, out: &mut Self);
+
+    /// Writes `src * s` into `self`.
+    fn scale_into(&mut self, src: &Self, s: C64);
+
+    /// Adds `rhs * s` to `self` entry by entry (multiply, then accumulate).
+    fn add_scaled(&mut self, rhs: &Self, s: C64);
+
+    /// Adds `rhs` to `self` entry by entry.
+    fn add_from(&mut self, rhs: &Self);
+
+    /// Subtracts `rhs` from `self` entry by entry.
+    fn sub_from(&mut self, rhs: &Self);
+
+    /// Overwrites `self` with a copy of `src`.
+    fn copy_from(&mut self, src: &Self);
+
+    /// Adds `I * s` to `self`: the arithmetic of
+    /// [`add_scaled`](Self::add_scaled) with an identity of `self`'s size,
+    /// so every off-diagonal entry gains `0 * s`, which can change the sign
+    /// of a zero entry.
+    fn add_scaled_identity(&mut self, s: C64) {
+        for r in 0..self.rows() {
+            for c in 0..self.cols() {
+                let e = if r == c { C64::one() } else { C64::zero() };
+                self.set(r, c, self.get(r, c) + e * s);
+            }
+        }
+    }
+
+    /// 1-norm (maximum absolute column sum), used for `expm` scaling.
+    fn one_norm(&self) -> f64 {
+        let mut best = 0.0f64;
+        for j in 0..self.cols() {
+            let s: f64 = (0..self.rows()).map(|i| self.get(i, j).abs()).sum();
+            best = best.max(s);
+        }
+        best
+    }
+
+    /// Whether every entry is finite (no NaN or infinite part).
+    fn is_finite(&self) -> bool {
+        (0..self.rows()).all(|r| (0..self.cols()).all(|c| self.get(r, c).is_finite()))
+    }
+
+    /// Inner (Hilbert–Schmidt) product `tr(self† rhs)`, summed in row-major
+    /// order from `0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ.
+    fn hs_inner(&self, rhs: &Self) -> C64 {
+        assert_eq!(self.rows(), rhs.rows());
+        assert_eq!(self.cols(), rhs.cols());
+        let mut acc = C64::zero();
+        for r in 0..self.rows() {
+            for c in 0..self.cols() {
+                acc += self.get(r, c).conj() * rhs.get(r, c);
+            }
+        }
+        acc
+    }
+}
+
+impl MatrixStorage for CMatrix {
+    fn identity(n: usize) -> Self {
+        CMatrix::identity(n)
+    }
+
+    fn from_cmatrix(a: &CMatrix) -> Self {
+        a.clone()
+    }
+
+    fn to_cmatrix(&self) -> CMatrix {
+        self.clone()
+    }
+
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    fn get(&self, r: usize, c: usize) -> C64 {
+        self[(r, c)]
+    }
+
+    fn set(&mut self, r: usize, c: usize, v: C64) {
+        self[(r, c)] = v;
+    }
+
+    fn swap_rows(&mut self, a: usize, b: usize) {
+        for c in 0..self.cols {
+            self.data.swap(a * self.cols + c, b * self.cols + c);
+        }
+    }
+
+    fn matmul_into(&self, rhs: &Self, out: &mut Self) {
+        CMatrix::matmul_into(self, rhs, out);
+    }
+
+    fn scale_into(&mut self, src: &Self, s: C64) {
+        CMatrix::scale_into(self, src, s);
+    }
+
+    fn add_scaled(&mut self, rhs: &Self, s: C64) {
+        CMatrix::add_scaled(self, rhs, s);
+    }
+
+    fn add_from(&mut self, rhs: &Self) {
+        *self += rhs;
+    }
+
+    fn sub_from(&mut self, rhs: &Self) {
+        *self -= rhs;
+    }
+
+    fn copy_from(&mut self, src: &Self) {
+        CMatrix::copy_from(self, src);
+    }
+}
+
+/// A dense complex `N × N` matrix whose size is fixed at compile time,
+/// stored as separate row-major real and imaginary planes with no heap
+/// storage, so its kernels compile to straight-line loops over known
+/// bounds. The GRAPE models use `N` = 2, 4 and 8 (one to three qubits).
+///
+/// Its [`MatrixStorage`] kernels are bit-identical to [`CMatrix`]'s.
+///
+/// # Examples
+///
+/// ```
+/// use qcc_math::{pauli, FixedMatrix, MatrixStorage};
+/// let x = FixedMatrix::<2>::from_cmatrix(&pauli::sigma_x());
+/// let mut xx = FixedMatrix::default();
+/// x.matmul_into(&x, &mut xx);
+/// assert_eq!(xx, FixedMatrix::identity(2));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct FixedMatrix<const N: usize> {
+    re: [[f64; N]; N],
+    im: [[f64; N]; N],
+}
+
+impl<const N: usize> Default for FixedMatrix<N> {
+    /// The `N × N` zero matrix.
+    fn default() -> Self {
+        Self {
+            re: [[0.0; N]; N],
+            im: [[0.0; N]; N],
+        }
+    }
+}
+
+// The kernels index rows and columns together, as `CMatrix`'s do; iterator
+// chains over the two planes would hide the loop order they must keep.
+#[allow(clippy::needless_range_loop)]
+impl<const N: usize> MatrixStorage for FixedMatrix<N> {
+    fn identity(n: usize) -> Self {
+        assert_eq!(n, N, "FixedMatrix<{N}> cannot hold a {n}×{n} identity");
+        let mut m = Self::default();
+        for i in 0..N {
+            m.re[i][i] = 1.0;
+        }
+        m
+    }
+
+    fn from_cmatrix(a: &CMatrix) -> Self {
+        assert!(
+            a.rows == N && a.cols == N,
+            "FixedMatrix<{N}> cannot hold a {}×{} matrix",
+            a.rows,
+            a.cols
+        );
+        let mut m = Self::default();
+        for r in 0..N {
+            for c in 0..N {
+                m.set(r, c, a[(r, c)]);
+            }
+        }
+        m
+    }
+
+    fn to_cmatrix(&self) -> CMatrix {
+        let mut m = CMatrix::zeros(N, N);
+        for r in 0..N {
+            for c in 0..N {
+                m[(r, c)] = self.get(r, c);
+            }
+        }
+        m
+    }
+
+    #[inline]
+    fn rows(&self) -> usize {
+        N
+    }
+
+    #[inline]
+    fn cols(&self) -> usize {
+        N
+    }
+
+    #[inline]
+    fn get(&self, r: usize, c: usize) -> C64 {
+        C64::new(self.re[r][c], self.im[r][c])
+    }
+
+    #[inline]
+    fn set(&mut self, r: usize, c: usize, v: C64) {
+        self.re[r][c] = v.re;
+        self.im[r][c] = v.im;
+    }
+
+    #[inline]
+    fn swap_rows(&mut self, a: usize, b: usize) {
+        self.re.swap(a, b);
+        self.im.swap(a, b);
+    }
+
+    #[inline]
+    fn matmul_into(&self, rhs: &Self, out: &mut Self) {
+        *out = Self::default();
+        for i in 0..N {
+            for k in 0..N {
+                let (ar, ai) = (self.re[i][k], self.im[i][k]);
+                if ar == 0.0 && ai == 0.0 {
+                    continue;
+                }
+                for j in 0..N {
+                    let (br, bi) = (rhs.re[k][j], rhs.im[k][j]);
+                    out.re[i][j] += ar * br - ai * bi;
+                    out.im[i][j] += ar * bi + ai * br;
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn scale_into(&mut self, src: &Self, s: C64) {
+        for r in 0..N {
+            for c in 0..N {
+                let (zr, zi) = (src.re[r][c], src.im[r][c]);
+                self.re[r][c] = zr * s.re - zi * s.im;
+                self.im[r][c] = zr * s.im + zi * s.re;
+            }
+        }
+    }
+
+    #[inline]
+    fn add_scaled(&mut self, rhs: &Self, s: C64) {
+        for r in 0..N {
+            for c in 0..N {
+                let (zr, zi) = (rhs.re[r][c], rhs.im[r][c]);
+                self.re[r][c] += zr * s.re - zi * s.im;
+                self.im[r][c] += zr * s.im + zi * s.re;
+            }
+        }
+    }
+
+    #[inline]
+    fn add_from(&mut self, rhs: &Self) {
+        for r in 0..N {
+            for c in 0..N {
+                self.re[r][c] += rhs.re[r][c];
+                self.im[r][c] += rhs.im[r][c];
+            }
+        }
+    }
+
+    #[inline]
+    fn sub_from(&mut self, rhs: &Self) {
+        for r in 0..N {
+            for c in 0..N {
+                self.re[r][c] -= rhs.re[r][c];
+                self.im[r][c] -= rhs.im[r][c];
+            }
+        }
+    }
+
+    #[inline]
+    fn copy_from(&mut self, src: &Self) {
+        self.clone_from(src);
+    }
+}
+
+/// Evaluates an expression with a type name bound to the storage for
+/// `dim × dim` matrices: [`FixedMatrix`] for `dim` 2, 4 or 8 (one to three
+/// qubits, every GRAPE model in the workspace), [`CMatrix`] otherwise. The
+/// one place that decides which sizes run on fixed-size storage.
+///
+/// # Examples
+///
+/// ```
+/// use qcc_math::{with_storage, MatrixStorage};
+/// let (fixed, any) = (with_storage!(4, M => M::identity(4).to_cmatrix()),
+///                     with_storage!(5, M => M::identity(5).to_cmatrix()));
+/// assert!(fixed.is_identity(0.0) && any.is_identity(0.0));
+/// ```
+#[macro_export]
+macro_rules! with_storage {
+    ($dim:expr, $M:ident => $body:expr) => {
+        match $dim {
+            2 => {
+                type $M = $crate::FixedMatrix<2>;
+                $body
+            }
+            4 => {
+                type $M = $crate::FixedMatrix<4>;
+                $body
+            }
+            8 => {
+                type $M = $crate::FixedMatrix<8>;
+                $body
+            }
+            _ => {
+                type $M = $crate::CMatrix;
+                $body
+            }
+        }
+    };
 }
 
 #[cfg(test)]

@@ -1,11 +1,10 @@
 //! # qcc-sim
 //!
 //! Verification backend for the aggregated-instruction compiler: a dense
-//! state-vector simulator for circuits and a piecewise-constant Hamiltonian
-//! propagator for control pulses. Together they play the role the QuTiP
-//! simulator plays in the paper's toolflow (§3.6): every aggregated
-//! instruction's pulse can be checked against the unitary of the gate
-//! sub-circuit it replaces.
+//! state-vector simulator for circuits, which checks a compiled program
+//! against its source. With the pulse propagator of `qcc-control`
+//! (`PulseProgram::propagator`) it plays the role the QuTiP simulator plays
+//! in the paper's toolflow (§3.6).
 //!
 //! ## Example
 //!
@@ -22,8 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod evolution;
 pub mod statevector;
 
-pub use evolution::PiecewiseHamiltonian;
 pub use statevector::StateVector;

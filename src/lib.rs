@@ -9,7 +9,7 @@
 //! * [`math`] — dense complex linear algebra (matrices, expm, fidelities);
 //! * [`graph`] — matchings, recursive-bisection partitioning, graph generators;
 //! * [`ir`] — gates, circuits, QASM, commutation analysis;
-//! * [`sim`] — state-vector simulation and pulse propagation (verification);
+//! * [`sim`] — state-vector simulation (verification);
 //! * [`hw`] — device topologies, control limits, latency models;
 //! * [`control`] — the GRAPE optimal-control unit;
 //! * [`compiler`] — the aggregated-instruction compilation pipeline itself: a
