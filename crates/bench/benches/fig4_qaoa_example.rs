@@ -3,7 +3,7 @@
 //! instruction (Fig. 4c/4d) produced by the real GRAPE unit.
 
 use qcc_bench::{banner, render_table};
-use qcc_control::GrapeLatencyModel;
+use qcc_control::{GrapeConfig, GrapeLatencyModel};
 use qcc_core::{Compiler, CompilerOptions, Strategy};
 use qcc_hw::{CalibratedLatencyModel, Device};
 use qcc_workloads::qaoa;
@@ -50,26 +50,26 @@ fn main() {
         &circuit,
         &CompilerOptions::strategy(Strategy::ClsAggregation),
     );
-    let control = GrapeLatencyModel::fast_two_qubit();
     let largest = r
         .instructions
         .iter()
-        .filter(|i| i.width() <= 2 && i.gate_count() > 1)
+        .filter(|i| i.gate_count() > 1)
         .max_by_key(|i| i.gate_count());
-    match largest {
-        Some(inst) => match control.optimize_instruction(&inst.constituents) {
-            Some((duration, result)) => {
-                println!(
-                    "Optimized pulse for the largest 2-qubit aggregate ({} gates): {:.1} ns, fidelity {:.4}",
-                    inst.gate_count(),
-                    duration,
-                    result.fidelity
-                );
-                println!("Pulse program (CSV, one column per control field — cf. Fig. 4d):");
-                println!("{}", result.pulse.to_csv());
-            }
-            None => println!("(instruction too wide for the optimal-control unit)"),
-        },
-        None => println!("(no multi-gate two-qubit aggregate found)"),
-    }
+    let Some(inst) = largest else {
+        println!("(no multi-gate aggregate found)");
+        return;
+    };
+    let control = GrapeLatencyModel::new(device.limits, GrapeConfig::fast(), inst.width());
+    let (duration, result) = control
+        .optimize_instruction(&inst.constituents)
+        .expect("a model sized to the aggregate's width admits it");
+    println!(
+        "Optimized pulse for the largest {}-qubit aggregate ({} gates): {:.1} ns, fidelity {:.4}",
+        inst.width(),
+        inst.gate_count(),
+        duration,
+        result.fidelity
+    );
+    println!("Pulse program (CSV, one column per control field — cf. Fig. 4d):");
+    println!("{}", result.pulse.to_csv());
 }

@@ -1,16 +1,8 @@
 //! Figure 9 (headline result): normalized circuit latency of every compilation
 //! strategy over the whole benchmark suite, plus the §6.4 encoding-scheme
 //! comparison (aggregation vs hand-optimization ratios).
-//!
-//! Set `QCC_STRATEGY=<name>` to sweep a single strategy (normalized against
-//! the ISA baseline, which always runs); the §6.4 section needs both
-//! `CLS+Aggregation` and `CLS+HandOpt` and is skipped when either is filtered
-//! out.
 
-use qcc_bench::{
-    all_strategy_latencies, banner, geometric_mean, render_table, scale_from_env,
-    strategies_from_env, write_bench_json,
-};
+use qcc_bench::{banner, geometric_mean, latency_for, render_table, scale_from_env};
 use qcc_core::Strategy;
 use qcc_workloads::standard_suite;
 
@@ -21,14 +13,10 @@ fn main() {
     );
     let suite = standard_suite(scale_from_env(), 2019);
     let width = 10;
-    let strategies = strategies_from_env();
-    let reported: Vec<Strategy> = strategies
-        .iter()
-        .copied()
+    let reported: Vec<Strategy> = Strategy::all()
+        .into_iter()
         .filter(|s| *s != Strategy::IsaBaseline)
         .collect();
-    let full_sweep = reported.contains(&Strategy::ClsAggregation)
-        && reported.contains(&Strategy::ClsHandOptimized);
 
     let mut rows = Vec::new();
     let mut speedups_full = Vec::new();
@@ -36,29 +24,27 @@ fn main() {
     let mut encoding_rows = Vec::new();
 
     for bench in &suite {
-        let latencies = all_strategy_latencies(bench, width);
-        let isa = latencies
-            .iter()
-            .find(|(s, _)| *s == Strategy::IsaBaseline)
-            .map(|(_, l)| *l)
-            .unwrap_or(1.0);
-        let norm = |strategy: Strategy| -> f64 {
+        let latencies: Vec<(Strategy, f64)> = Strategy::all()
+            .into_iter()
+            .map(|s| (s, latency_for(&bench.circuit, s, width)))
+            .collect();
+        let latency = |strategy: Strategy| -> f64 {
             latencies
                 .iter()
                 .find(|(s, _)| *s == strategy)
-                .map(|(_, l)| l / isa)
-                .unwrap_or(1.0)
+                .map(|(_, l)| *l)
+                .expect("every strategy is swept")
         };
-        if full_sweep {
-            let full = norm(Strategy::ClsAggregation);
-            let hand = norm(Strategy::ClsHandOptimized);
-            speedups_full.push(1.0 / full);
-            speedups_hand.push(1.0 / hand);
-            encoding_rows.push(vec![
-                bench.name.clone(),
-                format!("{:.2}", (1.0 / full) / (1.0 / hand)),
-            ]);
-        }
+        let isa = latency(Strategy::IsaBaseline);
+        let norm = |strategy: Strategy| -> f64 { latency(strategy) / isa };
+        let full = norm(Strategy::ClsAggregation);
+        let hand = norm(Strategy::ClsHandOptimized);
+        speedups_full.push(1.0 / full);
+        speedups_hand.push(1.0 / hand);
+        encoding_rows.push(vec![
+            bench.name.clone(),
+            format!("{:.2}", (1.0 / full) / (1.0 / hand)),
+        ]);
         let mut row = vec![bench.name.clone(), format!("{:.1}", isa)];
         row.extend(reported.iter().map(|&s| format!("{:.3}", norm(s))));
         rows.push(row);
@@ -67,14 +53,6 @@ fn main() {
     let mut headers: Vec<&str> = vec!["benchmark", "ISA latency (ns)"];
     headers.extend(reported.iter().map(|s| s.name()));
     println!("{}", render_table(&headers, &rows));
-
-    // Machine-readable per-strategy compile timings (QCC_BENCH_JSON).
-    write_bench_json("fig9_latency");
-
-    if !full_sweep {
-        println!("(QCC_STRATEGY set — §6.4 encoding comparison skipped)");
-        return;
-    }
     println!(
         "Geometric-mean speedup of CLS+Aggregation over ISA: {:.2}x   (paper: 5.07x)",
         geometric_mean(&speedups_full)

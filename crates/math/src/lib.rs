@@ -2,9 +2,9 @@
 //!
 //! Dense complex linear-algebra substrate for the aggregated-instruction
 //! quantum compiler. Everything the upper layers need — complex scalars,
-//! matrices, LU solves, the Padé matrix exponential, fidelities, Pauli algebra
-//! and random unitaries — is implemented here from scratch so the workspace has
-//! no external linear-algebra dependency.
+//! matrices, the Padé matrix exponential (with its own LU factorization),
+//! fidelities, Pauli algebra and random unitaries — is implemented here from
+//! scratch so the workspace has no external linear-algebra dependency.
 //!
 //! The crate is deliberately sized for the regime of the ASPLOS'19 paper this
 //! workspace reproduces: unitaries of at most ten qubits (1024×1024), dense
@@ -47,6 +47,6 @@ pub use expm::{expm, expm_into, propagator, try_expm, ExpmWorkspace};
 pub use fidelity::{
     average_gate_fidelity, frobenius_distance, gate_fidelity, gate_infidelity, state_fidelity,
 };
-pub use linalg::{det, inverse, solve, solve_matrix, LinalgError, LuDecomposition};
+pub use linalg::LinalgError;
 pub use matrix::{CMatrix, FixedMatrix, MatrixStorage};
 pub use random::{random_complex_matrix, random_hermitian, random_unitary};

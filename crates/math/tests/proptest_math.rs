@@ -82,20 +82,6 @@ proptest! {
         let ba = b.matmul(&a).trace();
         prop_assert!(ab.approx_eq(ba, 1e-9));
     }
-
-    /// LU solve really solves the system.
-    #[test]
-    fn lu_solve_random_system(seed in 0u64..300) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Random unitaries are always well-conditioned.
-        let a = random_unitary(&mut rng, 5);
-        let x: Vec<C64> = (0..5).map(|i| C64::new(i as f64 * 0.3 - 1.0, 0.1 * i as f64)).collect();
-        let b = a.matvec(&x);
-        let solved = qcc_math::solve(&a, &b).unwrap();
-        for (got, want) in solved.iter().zip(x.iter()) {
-            prop_assert!(got.approx_eq(*want, 1e-8));
-        }
-    }
 }
 
 /// A random `2^k`-dimensional gate on `k` distinct random targets out of `n`,

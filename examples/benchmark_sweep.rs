@@ -1,13 +1,10 @@
-//! Compile a slice of the Table 3 benchmark suite under every strategy and
-//! report normalized latencies plus aggregation statistics — a small-scale
-//! version of the Fig. 9 experiment suited to a laptop.
+//! Compile a slice of the Table 3 benchmark suite under the ISA baseline, CLS
+//! and CLS+Aggregation and report normalized latencies plus SWAP counts — a
+//! small-scale version of the Fig. 9 experiment suited to a laptop.
 //!
 //! Run with `cargo run --release --example benchmark_sweep`. Defaults to the
 //! reduced-size suite; set `QCC_BENCH_SCALE=full` for the paper's full sizes
-//! (any other value is a startup error). Set `QCC_STRATEGY=<name>` (e.g.
-//! `cls`, `cls+aggregation` — any name `Strategy::from_str` accepts) to sweep
-//! a single strategy normalized against the always-included ISA baseline,
-//! with no code edits.
+//! (any other value is a startup error).
 
 use qcc::compiler::{
     AggregationOptions, CompileService, CompilerOptions, Priority, ServeConfig, Strategy,
@@ -21,18 +18,9 @@ fn main() {
         SuiteScale::Reduced,
     )
     .unwrap_or_else(|e| panic!("{e}"));
-    // The reported strategies: the QCC_STRATEGY override, or the classic
-    // ISA / CLS / CLS+Aggregation sweep. The baseline always compiles so the
-    // other columns can be normalized to it.
-    let reported: Vec<Strategy> = match std::env::var("QCC_STRATEGY") {
-        Ok(v) if !v.trim().is_empty() => {
-            let chosen: Strategy = v
-                .parse()
-                .unwrap_or_else(|e| panic!("invalid QCC_STRATEGY value '{v}': {e}"));
-            vec![chosen]
-        }
-        _ => vec![Strategy::Cls, Strategy::ClsAggregation],
-    };
+    // The classic ISA / CLS / CLS+Aggregation sweep. The baseline compiles
+    // too, so the other columns can be normalized to it.
+    let reported = [Strategy::Cls, Strategy::ClsAggregation];
 
     let suite = standard_suite(scale, 7);
     print!(
