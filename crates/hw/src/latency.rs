@@ -23,7 +23,7 @@
 
 use crate::device::ControlLimits;
 use qcc_ir::{Gate, Instruction};
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
 use threadpool::ThreadPool;
 
@@ -190,6 +190,38 @@ fn principal_angle(theta: f64) -> f64 {
     }
 }
 
+/// The working lists of one [`CalibratedLatencyModel::aggregate_latency`]
+/// call: accumulated area per qubit pair and rotation angle per qubit, each in
+/// first-seen order, and the per-qubit pair times. An aggregate touches at
+/// most a few qubits, so a linear scan finds an entry faster than a hash.
+struct PricingScratch {
+    pair_area: Vec<((usize, usize), f64)>,
+    one_q_area: Vec<(usize, f64)>,
+    pair_times: Vec<(usize, f64)>,
+}
+
+thread_local! {
+    /// This thread's pricing lists, reused by every call so that a query
+    /// allocates nothing once they have grown.
+    static PRICING_SCRATCH: RefCell<PricingScratch> = const {
+        RefCell::new(PricingScratch {
+            pair_area: Vec::new(),
+            one_q_area: Vec::new(),
+            pair_times: Vec::new(),
+        })
+    };
+}
+
+/// Replaces `key`'s value in `entries` by `update` of it, where a key not yet
+/// in the list starts from 0.0: the same float operations as
+/// `*map.entry(key).or_insert(0.0) = update(..)`.
+fn accumulate<K: PartialEq>(entries: &mut Vec<(K, f64)>, key: K, update: impl FnOnce(f64) -> f64) {
+    match entries.iter_mut().find(|(k, _)| *k == key) {
+        Some((_, value)) => *value = update(*value),
+        None => entries.push((key, update(0.0))),
+    }
+}
+
 /// Analytic latency model calibrated to the paper's control limits.
 #[derive(Debug, Clone)]
 pub struct CalibratedLatencyModel {
@@ -255,49 +287,59 @@ impl LatencyModel for CalibratedLatencyModel {
         // mechanism by which optimized aggregate pulses beat concatenated
         // per-gate pulses on serial circuits (§6.2 of the paper).
         const PAIR_AREA_CAP: f64 = 1.5 * PI;
-        let mut pair_area: HashMap<(usize, usize), f64> = HashMap::new();
-        let mut one_q_area: HashMap<usize, f64> = HashMap::new();
-        for inst in constituents {
-            if inst.gate.is_identity() {
-                continue;
-            }
-            match inst.qubits.len() {
-                1 => {
-                    *one_q_area.entry(inst.qubits[0]).or_insert(0.0) += inst.gate.rotation_angle();
+        PRICING_SCRATCH.with(|scratch| {
+            let PricingScratch {
+                pair_area,
+                one_q_area,
+                pair_times,
+            } = &mut *scratch.borrow_mut();
+            pair_area.clear();
+            one_q_area.clear();
+            pair_times.clear();
+            for inst in constituents {
+                if inst.gate.is_identity() {
+                    continue;
                 }
-                _ => {
-                    let a = inst.qubits[0].min(inst.qubits[1]);
-                    let b = inst.qubits[0].max(inst.qubits[1]);
-                    let entry = pair_area.entry((a, b)).or_insert(0.0);
-                    *entry = (*entry + interaction_area(&inst.gate)).min(PAIR_AREA_CAP);
+                match inst.qubits.len() {
+                    1 => {
+                        let angle = inst.gate.rotation_angle();
+                        accumulate(one_q_area, inst.qubits[0], |sum| sum + angle);
+                    }
+                    _ => {
+                        let a = inst.qubits[0].min(inst.qubits[1]);
+                        let b = inst.qubits[0].max(inst.qubits[1]);
+                        let area = interaction_area(&inst.gate);
+                        accumulate(pair_area, (a, b), |total| (total + area).min(PAIR_AREA_CAP));
+                    }
                 }
             }
-        }
-        // Per-qubit load: areas of pairs sharing a qubit serialize, disjoint
-        // pairs run concurrently. Each qubit's pair times are summed in
-        // ascending order, so the float sum depends neither on hash-map
-        // iteration order nor on the qubit labels.
-        let mut pair_times: Vec<(usize, f64)> = Vec::with_capacity(2 * pair_area.len());
-        for (&(a, b), &area) in &pair_area {
-            let t = l.two_qubit_time(area);
-            pair_times.push((a, t));
-            pair_times.push((b, t));
-        }
-        pair_times.sort_unstable_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
-        let t_interaction = pair_times
-            .chunk_by(|x, y| x.0 == y.0)
-            .map(|qubit| qubit.iter().fold(0.0, |load, &(_, t)| load + t))
-            .fold(0.0f64, f64::max);
-        // Single-qubit rotations on one qubit similarly compose to a single
-        // rotation of angle at most π between entangling segments; cap the
-        // per-qubit single-qubit content accordingly.
-        let t_single = one_q_area
-            .values()
-            .map(|&angle| l.one_qubit_time(angle.min(PI)))
-            .fold(0.0f64, f64::max);
-        // Single-qubit work largely overlaps with the interaction inside an
-        // optimized pulse; only a fraction remains on the critical path.
-        l.instruction_overhead_ns + t_interaction + l.single_qubit_overlap * t_single
+            // Per-qubit load: areas of pairs sharing a qubit serialize,
+            // disjoint pairs run concurrently. Each qubit's pair times are
+            // summed in ascending order, so the float sum depends neither on
+            // the order in which the pairs first appear nor on the qubit
+            // labels.
+            for &((a, b), area) in pair_area.iter() {
+                let t = l.two_qubit_time(area);
+                pair_times.push((a, t));
+                pair_times.push((b, t));
+            }
+            pair_times.sort_unstable_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
+            let t_interaction = pair_times
+                .chunk_by(|x, y| x.0 == y.0)
+                .map(|qubit| qubit.iter().fold(0.0, |load, &(_, t)| load + t))
+                .fold(0.0f64, f64::max);
+            // Single-qubit rotations on one qubit similarly compose to a
+            // single rotation of angle at most π between entangling segments;
+            // cap the per-qubit single-qubit content accordingly.
+            let t_single = one_q_area
+                .iter()
+                .map(|&(_, angle)| l.one_qubit_time(angle.min(PI)))
+                .fold(0.0f64, f64::max);
+            // Single-qubit work largely overlaps with the interaction inside
+            // an optimized pulse; only a fraction remains on the critical
+            // path.
+            l.instruction_overhead_ns + t_interaction + l.single_qubit_overlap * t_single
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -343,9 +385,134 @@ impl GateTimeTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn inst(gate: Gate, qubits: &[usize]) -> Instruction {
         Instruction::new(gate, qubits.to_vec())
+    }
+
+    /// `CalibratedLatencyModel::aggregate_latency` as it was with one fresh
+    /// hash map per pair and per qubit, kept as the reference of the
+    /// hash-free body.
+    fn hashed_aggregate_latency(l: &ControlLimits, constituents: &[Instruction]) -> f64 {
+        if constituents.iter().all(|i| i.gate.is_identity()) {
+            return 0.0;
+        }
+        const PAIR_AREA_CAP: f64 = 1.5 * PI;
+        let mut pair_area: HashMap<(usize, usize), f64> = HashMap::new();
+        let mut one_q_area: HashMap<usize, f64> = HashMap::new();
+        for inst in constituents {
+            if inst.gate.is_identity() {
+                continue;
+            }
+            match inst.qubits.len() {
+                1 => {
+                    *one_q_area.entry(inst.qubits[0]).or_insert(0.0) += inst.gate.rotation_angle();
+                }
+                _ => {
+                    let a = inst.qubits[0].min(inst.qubits[1]);
+                    let b = inst.qubits[0].max(inst.qubits[1]);
+                    let entry = pair_area.entry((a, b)).or_insert(0.0);
+                    *entry = (*entry + interaction_area(&inst.gate)).min(PAIR_AREA_CAP);
+                }
+            }
+        }
+        let mut pair_times: Vec<(usize, f64)> = Vec::with_capacity(2 * pair_area.len());
+        for (&(a, b), &area) in &pair_area {
+            let t = l.two_qubit_time(area);
+            pair_times.push((a, t));
+            pair_times.push((b, t));
+        }
+        pair_times.sort_unstable_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)));
+        let t_interaction = pair_times
+            .chunk_by(|x, y| x.0 == y.0)
+            .map(|qubit| qubit.iter().fold(0.0, |load, &(_, t)| load + t))
+            .fold(0.0f64, f64::max);
+        let t_single = one_q_area
+            .values()
+            .map(|&angle| l.one_qubit_time(angle.min(PI)))
+            .fold(0.0f64, f64::max);
+        l.instruction_overhead_ns + t_interaction + l.single_qubit_overlap * t_single
+    }
+
+    /// `count` distinct qubits below `n`, from seeds.
+    fn distinct_qubits(n: usize, seeds: (usize, usize, usize), count: usize) -> Vec<usize> {
+        let mut qs = Vec::with_capacity(count);
+        for seed in [seeds.0, seeds.1, seeds.2].into_iter().take(count) {
+            let mut q = seed % n;
+            while qs.contains(&q) {
+                q = (q + 1) % n;
+            }
+            qs.push(q);
+        }
+        qs
+    }
+
+    /// One random gate on `n` qubits; `identity_only` draws from the
+    /// zero-latency gates alone. Kinds needing more qubits than `n` fall back
+    /// to a single-qubit rotation.
+    fn random_gate(
+        n: usize,
+        (kind, seeds, theta): (usize, (usize, usize, usize), f64),
+        identity_only: bool,
+    ) -> Instruction {
+        let (gate, arity) = match (identity_only, kind) {
+            (true, k) => [(Gate::I, 1), (Gate::Rz(0.0), 1), (Gate::Rzz(0.0), 2)][k % 3],
+            (false, 0) => (Gate::H, 1),
+            (false, 1) => (Gate::Rz(theta), 1),
+            (false, 2) => (Gate::Rx(theta), 1),
+            (false, 3) => (Gate::I, 1),
+            (false, 4) => (Gate::Rz(0.0), 1),
+            (false, 5) => (Gate::Cnot, 2),
+            (false, 6) => (Gate::Rzz(theta), 2),
+            (false, 7) => (Gate::Swap, 2),
+            (false, 8) => (Gate::ISwap, 2),
+            (false, _) => (Gate::Toffoli, 3),
+        };
+        if arity > n {
+            return inst(Gate::Ry(theta), &[seeds.0 % n]);
+        }
+        Instruction::new(gate, distinct_qubits(n, seeds, arity))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hash_free_pricing_matches_the_frozen_hash_map_body_bit_for_bit(
+            n in 1usize..11,
+            gates in prop::collection::vec(
+                (0usize..10, (0usize..64, 0usize..64, 0usize..64), -7.0f64..7.0),
+                1..89,
+            ),
+            pair_seeds in (0usize..64, 0usize..64),
+            pair_at in prop::collection::vec(0usize..96, 0..8),
+            identity_only in 0usize..5,
+        ) {
+            let identity_only = identity_only == 0;
+            let mut list: Vec<Instruction> = gates
+                .iter()
+                .map(|&pick| random_gate(n, pick, identity_only))
+                .collect();
+            // One pair, driven in both orientations often enough to pass the
+            // 3π/2 cap (two CNOTs already reach it).
+            if n >= 2 && !identity_only {
+                let pair = distinct_qubits(n, (pair_seeds.0, pair_seeds.1, 0), 2);
+                for (r, &at) in pair_at.iter().enumerate() {
+                    let qubits = if r % 2 == 0 { [pair[0], pair[1]] } else { [pair[1], pair[0]] };
+                    let at = at % (list.len() + 1);
+                    list.insert(at, inst(Gate::Cnot, &qubits));
+                }
+            }
+            let model = CalibratedLatencyModel::asplos19();
+            let want = hashed_aggregate_latency(model.limits(), &list);
+            let got = model.aggregate_latency(&list);
+            prop_assert!(
+                got.to_bits() == want.to_bits(),
+                "{:?}: hash-free {} vs hashed {}", list, got, want
+            );
+        }
     }
 
     #[test]

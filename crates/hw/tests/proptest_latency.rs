@@ -1,13 +1,15 @@
 //! Property tests for `CalibratedLatencyModel::aggregate_latency`: the price
 //! of an aggregate is a pure function of its gates, so it must come out
 //! bit-identical across repeated calls and under any relabelling of its
-//! qubits — no float sum may depend on hash-map iteration order.
+//! qubits — no float sum may depend on the order in which the pricing first
+//! meets a pair or a qubit.
 
 use proptest::prelude::*;
 use qcc_hw::{CalibratedLatencyModel, LatencyModel};
 use qcc_ir::{Gate, Instruction};
 
-/// Calls per case; each call builds fresh hash maps with fresh seeds.
+/// Calls per case; each call reuses the thread's pricing lists, which the
+/// previous call left filled.
 const REPEATS: usize = 50;
 
 /// One qubit (0) in three `Rzz` pairs — the smallest shape whose per-qubit
